@@ -90,7 +90,8 @@ class ReferenceInferBackend final : public InferBackend {
     // the sequential ground truth.
     runtime::InferRequest r = runtime::make_infer_request(
         std::move(prompt), max_new_tokens, cfg_.max_new_tokens,
-        cfg_.model.seq, next_id_++, deadline_s, cfg_.deadline_s);
+        cfg_.model.seq, cfg_.model.vocab, next_id_++, deadline_s,
+        cfg_.deadline_s);
     r.on_token = std::move(on_token);
     const int64_t id = r.id;
     queue_.push_back(std::move(r));

@@ -153,6 +153,9 @@
 //     means taking them in strictly increasing rank order — if your new
 //     lock does not fit between existing ranks, add a named rank and
 //     document what it protects.
+//   * Threads: runtime code forks work only through runtime::Gang
+//     (runtime/gang.hpp); never spawn a std::thread or hand-roll an
+//     exception_ptr join there. Kernels use tensor::parallel_for.
 //   * Sanitizers: CI runs the full suite under TSan and ASan+UBSan with no
 //     suppression files. A race or lifetime bug anywhere in the threaded
 //     stack fails the build; do not add suppressions, fix the bug.

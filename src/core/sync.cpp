@@ -13,8 +13,8 @@ const char* rank_name(Rank r) {
       return "IntraOpPool";
     case Rank::ServeQueue:
       return "ServeQueue";
-    case Rank::InferGang:
-      return "InferGang";
+    case Rank::Gang:
+      return "Gang";
     case Rank::WorldBarrier:
       return "WorldBarrier";
     case Rank::Mailbox:

@@ -15,11 +15,11 @@
 //                       while IntraOpSubmit is held (10 < 20).
 //   ServeQueue    (30)  runtime/infer — shared request FIFO dp replicas
 //                       drain; never held across model or comm calls.
-//   InferGang     (35)  runtime/infer — the persistent per-replica pass
-//                       gang's generation/rendezvous state. Held only at
-//                       pass hand-off (publish/collect), never across the
-//                       pass body, so workers' comm and kernel locks nest
-//                       inside legally (35 < 40/50/60/70/80).
+//   Gang          (35)  runtime/gang — fork/join hand-off state, never
+//                       held across a member body, so comm and kernel
+//                       locks nest inside (35 < 40/50/60/70/80), and so
+//                       does another gang: a server drain member runs its
+//                       replica's pass gang after the outer one released.
 //   WorldBarrier  (40)  comm/mailbox — World::barrier rendezvous.
 //   Mailbox       (50)  comm/mailbox — one rank's message queue. The
 //                       transport completes requests only after releasing
@@ -58,7 +58,7 @@ enum class Rank : int {
   IntraOpSubmit = 10,
   IntraOpPool = 20,
   ServeQueue = 30,
-  InferGang = 35,
+  Gang = 35,
   WorldBarrier = 40,
   Mailbox = 50,
   CommRequest = 60,

@@ -79,7 +79,7 @@ class MultiHeadAttention : public Layer {
   /// Paged mode (set_kv_store): non-owning store handle, this layer's lane,
   /// and member gather panels reused across passes (grown geometrically, so
   /// steady-state decode stays allocation-free; members rather than
-  /// thread_local because the runtime spawns fresh worker threads per pass).
+  /// thread_local: the thread that runs a layer's pass can change).
   runtime::KvStore* store_ = nullptr;
   int lane_ = -1;
   std::vector<float> gk_, gv_;

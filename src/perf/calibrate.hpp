@@ -40,7 +40,7 @@ struct Calibration {
 /// Calibration prices compute at the *training-forward* rate (the rate
 /// calibrate_compute times — a forward that also stashes activations for
 /// backward); serving passes run through forward_infer at a different
-/// effective rate, every pipeline pass pays a thread spawn/join +
+/// effective rate, every pipeline pass pays a gang wake/join +
 /// barrier tax the event model never sees, and on hosts with fewer cores
 /// than dp * P workers the simulated compute/communication overlap
 /// evaporates — a pass's wall clock is bounded below by the total busy
@@ -57,8 +57,8 @@ struct ServingCalibration {
   /// (no activation stash, no quadratic softmax traffic), so this is
   /// typically well below 1 — the single-stream "overcharge".
   double decode_rate_scale = 1.0;
-  /// Fitted per-pipeline-pass orchestration overhead (seconds): worker
-  /// spawn/join, mailbox wakeups and the pass barrier.
+  /// Fitted per-pipeline-pass orchestration overhead (seconds): gang
+  /// wake/join, mailbox wakeups and the pass barrier.
   double pass_overhead_s = 0.0;
   /// Fitted per-worker orchestration cost (seconds per pass, per pipeline
   /// worker): each of a replica's P workers pays a wakeup + handoff on

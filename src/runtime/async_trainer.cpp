@@ -1,7 +1,6 @@
 #include "runtime/async_trainer.hpp"
 
 #include <stdexcept>
-#include <thread>
 
 #include "model/loss.hpp"
 #include "model/partition.hpp"
@@ -274,7 +273,8 @@ class AsyncTrainer::StageWorker {
 // ---------------------------------------------------------------------------
 // AsyncTrainer
 
-AsyncTrainer::AsyncTrainer(AsyncTrainerConfig cfg) : cfg_(std::move(cfg)) {
+AsyncTrainer::AsyncTrainer(AsyncTrainerConfig cfg)
+    : cfg_(std::move(cfg)), gang_(cfg_.P) {
   if (cfg_.P < 1 || cfg_.micro_batches < 1) {
     throw std::invalid_argument("AsyncTrainer: P and micro_batches >= 1");
   }
@@ -294,6 +294,9 @@ std::vector<float> AsyncTrainer::train(const Batch& batch, int steps) {
                                 " rows, expected " +
                                 std::to_string(batch_rows()));
   }
+  for (const Tensor* ids : {&batch.inputs, &batch.targets}) {
+    check_token_ids(*ids, cfg_.model.vocab, "AsyncTrainer::train");
+  }
   if (steps < 1) throw std::invalid_argument("AsyncTrainer::train: steps >= 1");
 
   const int N = steps * cfg_.micro_batches;
@@ -305,22 +308,10 @@ std::vector<float> AsyncTrainer::train(const Batch& batch, int steps) {
   if (!vr.ok) throw std::logic_error("AsyncTrainer: invalid schedule: " + vr.error);
 
   std::vector<float> mb_loss(static_cast<size_t>(N), 0.0f);
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(workers_.size());
-  for (size_t d = 0; d < workers_.size(); ++d) {
-    threads.emplace_back([&, d] {
-      try {
-        workers_[d]->run(sched_, batch,
-                         d + 1 == workers_.size() ? &mb_loss : nullptr);
-      } catch (...) {
-        errors[d] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  gang_.run([&](int64_t d, int64_t) {
+    workers_[static_cast<size_t>(d)]->run(
+        sched_, batch, d + 1 == cfg_.P ? &mb_loss : nullptr);
+  });
 
   stats_ = AsyncStats{};
   for (const auto& w : workers_) {

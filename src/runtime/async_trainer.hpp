@@ -18,6 +18,7 @@
 #include "comm/communicator.hpp"
 #include "model/optimizer.hpp"
 #include "model/transformer.hpp"
+#include "runtime/gang.hpp"
 #include "runtime/worker.hpp"
 #include "schedule/async.hpp"
 
@@ -43,7 +44,8 @@ struct AsyncStats {
   std::vector<int> stash_entries;    ///< peak stashed versions per device
 };
 
-/// Drives `P` worker threads through the continuous asynchronous schedule.
+/// Drives `P` stage workers (one Gang member each) through the continuous
+/// asynchronous schedule.
 /// One call to `train` consumes the stream of `steps * micro_batches`
 /// micro-batches (cycling over the batch rows) and returns per-step losses.
 class AsyncTrainer {
@@ -52,9 +54,9 @@ class AsyncTrainer {
   ~AsyncTrainer();
 
   /// Runs the asynchronous pipeline for `steps` logical steps over `batch`
-  /// (which must hold `micro_batches * mb_sequences` rows). Returns the mean
-  /// loss of each step, in order — under asynchronous updates these are the
-  /// convergence signal the paper's §2.3 discusses.
+  /// (`micro_batches * mb_sequences` rows of ids in [0, vocab)). Returns
+  /// each step's mean loss, in order — under asynchronous updates these
+  /// are the convergence signal the paper's §2.3 discusses.
   std::vector<float> train(const Batch& batch, int steps);
 
   /// Copies of all parameters, keyed by name (after `train` returned).
@@ -72,6 +74,7 @@ class AsyncTrainer {
   class StageWorker;
 
   AsyncTrainerConfig cfg_;
+  Gang gang_;                 ///< member d runs workers_[d]
   schedule::Schedule sched_;  ///< rebuilt per train() for the stream length
   std::unique_ptr<comm::World> world_;
   std::vector<std::unique_ptr<StageWorker>> workers_;

@@ -284,12 +284,13 @@ double serve_per_token_latency_s(const ServeStats& totals) {
 
 InferRequest make_infer_request(Tensor prompt, int max_new_tokens,
                                 int default_new_tokens, int64_t model_seq,
-                                int64_t id, double deadline_s,
-                                double default_deadline_s) {
+                                int64_t model_vocab, int64_t id,
+                                double deadline_s, double default_deadline_s) {
   if (prompt.dim() == 1) prompt = prompt.reshaped({1, prompt.numel()});
   if (prompt.dim() != 2 || prompt.size(0) != 1 || prompt.numel() < 1) {
     throw std::invalid_argument("enqueue: prompt must be [t] or [1, t] ids");
   }
+  check_token_ids(prompt, model_vocab, "enqueue: prompt");
   const int want = max_new_tokens > 0 ? max_new_tokens : default_new_tokens;
   if (prompt.size(1) + want - 1 > model_seq) {
     throw std::invalid_argument(
@@ -330,23 +331,44 @@ void RequestQueue::configure(QueuePolicy policy, int cap) {
   cap_ = cap;
 }
 
-std::vector<InferRequest> RequestQueue::push(InferRequest r) {
+int64_t RequestQueue::enqueue(const InferConfig& cfg, Tensor prompt,
+                              int max_new_tokens, TokenCallback on_token,
+                              double deadline_s) {
   std::lock_guard lk(mu_);
-  std::vector<InferRequest> refused;
+  InferRequest r = make_infer_request(
+      std::move(prompt), max_new_tokens, cfg.max_new_tokens, cfg.model.seq,
+      cfg.model.vocab, next_id_++, deadline_s, cfg.deadline_s);
+  r.on_token = std::move(on_token);
+  const int64_t id = r.id;
+  ++counts_.submitted;
   const bool bounded = policy_ != QueuePolicy::Unbounded && cap_ > 0;
   if (bounded && policy_ == QueuePolicy::RejectNew &&
       static_cast<int>(q_.size()) >= cap_) {
-    refused.push_back(std::move(r));
-    return refused;
+    ++counts_.rejected;
+    rejected_.push_back(unserved_completion(r, StopReason::Rejected));
+    return id;
   }
   q_.push_back(std::move(r));
-  if (bounded && policy_ == QueuePolicy::ShedOldest) {
-    while (static_cast<int>(q_.size()) > cap_) {
-      refused.push_back(std::move(q_.front()));
-      q_.pop_front();
-    }
+  while (bounded && policy_ == QueuePolicy::ShedOldest &&
+         static_cast<int>(q_.size()) > cap_) {
+    ++counts_.rejected;
+    rejected_.push_back(unserved_completion(q_.front(), StopReason::Rejected));
+    q_.pop_front();
   }
-  return refused;
+  return id;
+}
+
+void RequestQueue::take_rejected(std::vector<Completion>& out) {
+  std::lock_guard lk(mu_);
+  out.insert(out.end(), std::make_move_iterator(rejected_.begin()),
+             std::make_move_iterator(rejected_.end()));
+  rejected_.clear();
+}
+
+void RequestQueue::add_enqueue_stats(ServeStats& s) const {
+  std::lock_guard lk(mu_);
+  s.submitted += counts_.submitted;
+  s.rejected += counts_.rejected;
 }
 
 void RequestQueue::push_front(InferRequest r) {
@@ -655,6 +677,7 @@ InferencePipeline::InferencePipeline(InferConfig cfg, RequestQueue* shared,
                                      int replica_index)
     : cfg_(std::move(cfg)), replica_index_(replica_index),
       queue_(shared ? shared : &own_queue_),
+      gang_(cfg_.sched.P),
       driver_arena_(int64_t{1} << 20) {
   if (!cfg_.model.causal) {
     throw std::invalid_argument(
@@ -710,49 +733,9 @@ InferencePipeline::InferencePipeline(InferConfig cfg, RequestQueue* shared,
   active_.reserve(static_cast<size_t>(cfg_.max_batch));
   still_.reserve(static_cast<size_t>(cfg_.max_batch));
   plan_.reserve(static_cast<size_t>(cfg_.max_batch));
-
-  // Persistent pass gang: spawned once here, woken per pass by epoch.
-  gang_errors_.resize(workers_.size());
-  gang_threads_.reserve(workers_.size());
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    gang_threads_.emplace_back([this, i] { gang_main(i); });
-  }
 }
 
-InferencePipeline::~InferencePipeline() {
-  {
-    std::lock_guard lk(gang_mu_);
-    gang_quit_ = true;
-  }
-  gang_cv_.notify_all();
-  for (std::thread& t : gang_threads_) t.join();
-}
-
-void InferencePipeline::gang_main(size_t i) {
-  uint64_t seen = 0;
-  for (;;) {
-    const schedule::Schedule* sched = nullptr;
-    {
-      std::unique_lock lk(gang_mu_);
-      gang_cv_.wait(lk, [&] { return gang_quit_ || gang_epoch_ != seen; });
-      if (gang_quit_) return;
-      seen = gang_epoch_;
-      sched = gang_sched_;
-    }
-    // The pass body runs with no gang lock held: worker-side locks
-    // (IntraOpSubmit, Mailbox, ...) start from an empty held set.
-    try {
-      workers_[i]->run_pass(*sched, plan_);
-    } catch (...) {
-      gang_errors_[i] = std::current_exception();  // slot i: this thread only
-    }
-    {
-      std::lock_guard lk(gang_mu_);
-      ++gang_done_;
-    }
-    gang_cv_.notify_all();
-  }
-}
+InferencePipeline::~InferencePipeline() = default;
 
 const schedule::Schedule& InferencePipeline::schedule_for(int batch) {
   auto it = sched_cache_.find(batch);
@@ -782,23 +765,6 @@ int64_t InferencePipeline::pages_in_use() const {
 
 void InferencePipeline::clear_prefix_cache() {
   if (store_ != nullptr) store_->clear_prefix_cache();
-}
-
-int64_t InferencePipeline::enqueue(tensor::Tensor prompt, int max_new_tokens,
-                                   TokenCallback on_token, double deadline_s) {
-  InferRequest r = make_infer_request(std::move(prompt), max_new_tokens,
-                                      cfg_.max_new_tokens, cfg_.model.seq,
-                                      next_id_++, deadline_s, cfg_.deadline_s);
-  r.on_token = std::move(on_token);
-  const int64_t id = r.id;
-  std::vector<InferRequest> refused = queue_->push(std::move(r));
-  std::lock_guard lk(enqueue_mu_);
-  ++enqueue_stats_.submitted;
-  for (const InferRequest& ref : refused) {
-    ++enqueue_stats_.rejected;
-    rejected_done_.push_back(unserved_completion(ref, StopReason::Rejected));
-  }
-  return id;
 }
 
 void InferencePipeline::finish_unserved(const InferRequest& r,
@@ -1005,27 +971,9 @@ void InferencePipeline::run_pass() {
   // shows its degradation in prefill_s/decode_s like a real slow device.
   inject_faults();
   ++passes_run_;
-  // Hand the pass to the persistent gang and wait for every worker.
-  {
-    std::lock_guard lk(gang_mu_);
-    gang_sched_ = &sched;
-    gang_done_ = 0;
-    for (std::exception_ptr& e : gang_errors_) e = nullptr;
-    ++gang_epoch_;
-  }
-  gang_cv_.notify_all();
-  {
-    std::unique_lock lk(gang_mu_);
-    gang_cv_.wait(lk,
-                  [&] { return gang_done_ == static_cast<int>(workers_.size()); });
-  }
-  for (std::exception_ptr& e : gang_errors_) {
-    if (e) {
-      std::exception_ptr ex = e;
-      e = nullptr;
-      std::rethrow_exception(ex);
-    }
-  }
+  gang_.run([&](int64_t i, int64_t) {
+    workers_[static_cast<size_t>(i)]->run_pass(sched, plan_);
+  });
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -1127,12 +1075,7 @@ std::vector<Completion> InferencePipeline::drain() {
   }
   std::vector<Completion> out = std::move(done_);
   done_.clear();
-  {
-    std::lock_guard lk(enqueue_mu_);
-    out.insert(out.end(), std::make_move_iterator(rejected_done_.begin()),
-               std::make_move_iterator(rejected_done_.end()));
-    rejected_done_.clear();
-  }
+  own_queue_.take_rejected(out);  // empty when serving a shared queue
   std::sort(out.begin(), out.end(),
             [](const Completion& a, const Completion& b) { return a.id < b.id; });
   return out;
@@ -1145,18 +1088,14 @@ ServeStats InferencePipeline::stats() const {
     out.prefix_hits = store_->prefix_hits();
     out.prefix_hit_tokens = store_->prefix_hit_tokens();
   }
-  std::lock_guard lk(enqueue_mu_);
-  out.submitted += enqueue_stats_.submitted;
-  out.rejected += enqueue_stats_.rejected;
+  own_queue_.add_enqueue_stats(out);
   return out;
 }
 
 // ------------------------------------------------------- InferenceServer
 
-InferenceServer::InferenceServer(InferConfig cfg) : cfg_(std::move(cfg)) {
-  if (cfg_.dp < 1) {
-    throw std::invalid_argument("InferenceServer: dp < 1");
-  }
+InferenceServer::InferenceServer(InferConfig cfg)
+    : cfg_(std::move(cfg)), gang_(cfg_.dp) {
   queue_.configure(cfg_.queue_policy, cfg_.max_queue > 0
                                           ? cfg_.max_queue
                                           : derived_queue_cap(cfg_));
@@ -1165,58 +1104,17 @@ InferenceServer::InferenceServer(InferConfig cfg) : cfg_(std::move(cfg)) {
   }
 }
 
-InferenceServer::~InferenceServer() = default;
-
-int64_t InferenceServer::enqueue(tensor::Tensor prompt, int max_new_tokens,
-                                 TokenCallback on_token, double deadline_s) {
-  InferRequest r = make_infer_request(std::move(prompt), max_new_tokens,
-                                      cfg_.max_new_tokens, cfg_.model.seq,
-                                      next_id_++, deadline_s, cfg_.deadline_s);
-  r.on_token = std::move(on_token);
-  const int64_t id = r.id;
-  std::vector<InferRequest> refused = queue_.push(std::move(r));
-  std::lock_guard lk(enqueue_mu_);
-  ++enqueue_stats_.submitted;
-  for (const InferRequest& ref : refused) {
-    ++enqueue_stats_.rejected;
-    rejected_done_.push_back(unserved_completion(ref, StopReason::Rejected));
-  }
-  return id;
-}
-
 std::vector<Completion> InferenceServer::drain() {
   std::vector<std::vector<Completion>> per(replicas_.size());
-  if (replicas_.size() == 1) {
-    per[0] = replicas_[0]->drain();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(replicas_.size());
-    std::vector<std::exception_ptr> errors(replicas_.size());
-    for (size_t r = 0; r < replicas_.size(); ++r) {
-      threads.emplace_back([&, r] {
-        try {
-          per[r] = replicas_[r]->drain();
-        } catch (...) {
-          errors[r] = std::current_exception();
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (const auto& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
-  }
+  gang_.run([&](int64_t r, int64_t) {
+    per[static_cast<size_t>(r)] = replicas_[static_cast<size_t>(r)]->drain();
+  });
   std::vector<Completion> out;
   for (auto& v : per) {
     out.insert(out.end(), std::make_move_iterator(v.begin()),
                std::make_move_iterator(v.end()));
   }
-  {
-    std::lock_guard lk(enqueue_mu_);
-    out.insert(out.end(), std::make_move_iterator(rejected_done_.begin()),
-               std::make_move_iterator(rejected_done_.end()));
-    rejected_done_.clear();
-  }
+  queue_.take_rejected(out);
   std::sort(out.begin(), out.end(),
             [](const Completion& a, const Completion& b) { return a.id < b.id; });
   return out;
@@ -1224,9 +1122,7 @@ std::vector<Completion> InferenceServer::drain() {
 
 ServeStats InferenceServer::stats() const {
   ServeStats out = merge_stats(replica_stats());
-  std::lock_guard lk(enqueue_mu_);
-  out.submitted += enqueue_stats_.submitted;
-  out.rejected += enqueue_stats_.rejected;
+  queue_.add_enqueue_stats(out);
   return out;
 }
 

@@ -25,15 +25,14 @@
 
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/sync.hpp"
 #include "model/transformer.hpp"
+#include "runtime/gang.hpp"
 #include "runtime/worker.hpp"
 #include "schedule/algorithms.hpp"
 #include "tensor/arena.hpp"
@@ -368,21 +367,24 @@ int64_t sample_last_row(const tensor::Tensor& logits, const Sampling& s,
 /// True when `tok` is one of the configured stop tokens.
 bool is_stop_token(const std::vector<int64_t>& stop_tokens, int64_t tok);
 
-/// Shared request admission: normalises a [t] or [1, t] prompt, applies the
-/// config-default continuation length, and enforces the positional bound
-/// (prompt + continuation - 1 must fit `model_seq`; the last generated
-/// token never re-enters the cache). Stamps `enqueue_s` with the current
-/// serve clock and resolves the deadline: `deadline_s` > 0 is a relative
-/// SLA from now, 0 falls back to `default_deadline_s` (the config default;
-/// 0 again means none). Throws std::invalid_argument.
+/// Shared request admission: normalises a [t] or [1, t] prompt of ids in
+/// [0, model_vocab), applies the config-default continuation length, and
+/// enforces the positional bound (prompt + continuation - 1 must fit
+/// `model_seq`; the last generated token never re-enters the cache). Stamps
+/// `enqueue_s` with the current serve clock and resolves the deadline:
+/// `deadline_s` > 0 is a relative SLA from now, 0 falls back to
+/// `default_deadline_s` (the config default; 0 again means none). Throws
+/// std::invalid_argument.
 InferRequest make_infer_request(tensor::Tensor prompt, int max_new_tokens,
                                 int default_new_tokens, int64_t model_seq,
-                                int64_t id, double deadline_s = 0.0,
+                                int64_t model_vocab, int64_t id,
+                                double deadline_s = 0.0,
                                 double default_deadline_s = 0.0);
 
 /// Mutex-guarded FIFO of pending requests — the single queue dp pipeline
 /// replicas drain concurrently (each pop hands one request to whichever
-/// replica has a free KV slot first). Also the cancellation rendezvous:
+/// replica has a free KV slot first). Also the front door (ids, admission
+/// control, submitted/rejected counts) and the cancellation rendezvous:
 /// cancel(id) records the id here, and whichever replica holds (or pops)
 /// the request consumes the mark at its next pass boundary.
 class RequestQueue {
@@ -390,11 +392,17 @@ class RequestQueue {
   /// Sets the admission policy; `cap` is ignored for Unbounded.
   void configure(QueuePolicy policy, int cap);
 
-  /// Enqueues under the admission policy. Returns the refused requests for
-  /// the caller to stamp Rejected: under RejectNew the refused one is `r`
-  /// itself (when full); under ShedOldest it is the evicted queue head(s).
-  /// Unbounded never refuses.
-  std::vector<InferRequest> push(InferRequest r);
+  /// Builds the next request id's InferRequest (make_infer_request; throws
+  /// before counting) and enqueues it under the admission policy. Refused
+  /// requests (RejectNew: the new one when full; ShedOldest: the evicted
+  /// head) become Rejected completions for take_rejected(). Returns the id.
+  int64_t enqueue(const InferConfig& cfg, tensor::Tensor prompt,
+                  int max_new_tokens, TokenCallback on_token,
+                  double deadline_s);
+  /// Moves the pending Rejected completions to the end of `out`.
+  void take_rejected(std::vector<Completion>& out);
+  /// Adds the enqueue-side submitted/rejected counters to `s`.
+  void add_enqueue_stats(ServeStats& s) const;
   /// Returns a popped request to the queue head, preserving FIFO order —
   /// used by paged admission when the KV pool cannot reserve pages for the
   /// oldest request yet (it stays first in line; no policy check, the
@@ -425,6 +433,9 @@ class RequestQueue {
   std::vector<int64_t> cancelled_;  ///< pending cancel marks (few at a time)
   QueuePolicy policy_ = QueuePolicy::Unbounded;
   int cap_ = 0;
+  int64_t next_id_ = 0;
+  ServeStats counts_;                 ///< submitted / rejected only
+  std::vector<Completion> rejected_;  ///< refused, not yet drained
 };
 
 /// One micro-batch of one pipeline pass (internal, shared with InferWorker).
@@ -456,10 +467,13 @@ class InferencePipeline {
   /// streams each selected token at the pass boundary that produced it;
   /// an aborted request's stream simply stops (its last event has
   /// last == false). `deadline_s` > 0 is a relative SLA from now; 0 uses
-  /// the config default. Throws if prompt length + continuation would
-  /// exceed the model's positional table (`model.seq`).
+  /// the config default. Throws if a prompt id lies outside [0, vocab) or
+  /// prompt length + continuation would exceed `model.seq`.
   int64_t enqueue(tensor::Tensor prompt, int max_new_tokens = 0,
-                  TokenCallback on_token = {}, double deadline_s = 0.0);
+                  TokenCallback on_token = {}, double deadline_s = 0.0) {
+    return queue_->enqueue(cfg_, std::move(prompt), max_new_tokens,
+                           std::move(on_token), deadline_s);
+  }
 
   /// Requests cancellation of `id` (thread-safe, callable concurrently
   /// with drain). Honoured at the next pass boundary: the sequence's KV
@@ -532,9 +546,6 @@ class InferencePipeline {
   void finish_active(ActiveSeq& seq, StopReason why, double now_s);
   void inject_faults();
   void run_pass();
-  /// Body of gang thread `i`: waits for the next published pass epoch,
-  /// runs workers_[i]->run_pass, reports completion. See gang_* members.
-  void gang_main(size_t i);
 
   InferConfig cfg_;
   schedule::Placement placement_;
@@ -549,32 +560,12 @@ class InferencePipeline {
   std::vector<ActiveSeq> active_;
   std::vector<int> free_slots_;
   std::vector<Completion> done_;
-  int64_t next_id_ = 0;
   ServeStats stats_;
-  ServeStats enqueue_stats_;  ///< submitted/rejected (own-queue mode only)
-  std::vector<Completion> rejected_done_;  ///< own-queue-mode rejections
-  /// Guards enqueue_stats_/rejected_done_: enqueue() may race drain().
-  /// Rank::ServeQueue like the queue mutex — never held at the same time
-  /// as it (sequential same-rank acquisition is legal under the checker).
-  mutable sync::Mutex<sync::Rank::ServeQueue> enqueue_mu_;
   tensor::Rng fault_rng_{0};  ///< per-replica fault stream (seed, replica)
   int passes_run_ = 0;        ///< lifetime pass count (fault scheduling)
 
-  /// Persistent pass gang: one long-lived thread per pipeline worker,
-  /// rendezvousing with the driver through an epoch counter instead of
-  /// being spawned and joined per pass (a steady-state decode pass must
-  /// not create threads — thread stacks are heap allocations). The
-  /// Rank::InferGang mutex is held only at the hand-off (publish epoch /
-  /// count completions), never across a pass body, so worker-side comm
-  /// and kernel locks nest inside it legally.
-  std::vector<std::thread> gang_threads_;
-  std::vector<std::exception_ptr> gang_errors_;  ///< slot i: thread i only
-  sync::Mutex<sync::Rank::InferGang> gang_mu_;
-  sync::CondVar gang_cv_;
-  uint64_t gang_epoch_ = 0;
-  int gang_done_ = 0;
-  bool gang_quit_ = false;
-  const schedule::Schedule* gang_sched_ = nullptr;  ///< valid for one epoch
+  /// Member i runs workers_[i]'s share of each pass (0 on drain's thread).
+  Gang gang_;
 
   /// Driver-side pass arena (plan inputs, per-pass temporaries) plus the
   /// reused pass containers — cleared, never shrunk, each pass.
@@ -592,7 +583,6 @@ class InferencePipeline {
 class InferenceServer {
  public:
   explicit InferenceServer(InferConfig cfg);
-  ~InferenceServer();
 
   /// Queues a prompt on the shared queue; returns the request id (also the
   /// cancel handle). `on_token` streams the request's tokens from whichever
@@ -603,14 +593,17 @@ class InferenceServer {
   /// evict the oldest queued one) — the refused request surfaces as a
   /// StopReason::Rejected completion from the next drain().
   int64_t enqueue(tensor::Tensor prompt, int max_new_tokens = 0,
-                  TokenCallback on_token = {}, double deadline_s = 0.0);
+                  TokenCallback on_token = {}, double deadline_s = 0.0) {
+    return queue_.enqueue(cfg_, std::move(prompt), max_new_tokens,
+                          std::move(on_token), deadline_s);
+  }
 
   /// Requests cancellation of `id` (thread-safe, callable concurrently with
   /// drain); honoured at the serving replica's next pass boundary.
   void cancel(int64_t id) { queue_.cancel(id); }
 
-  /// Drains the shared queue on all replicas concurrently (one thread per
-  /// replica when dp > 1); completions of this drain in request-id order.
+  /// Drains the shared queue on all replicas concurrently (one gang member
+  /// per replica); completions of this drain in request-id order.
   std::vector<Completion> drain();
 
   int dp() const { return static_cast<int>(replicas_.size()); }
@@ -640,15 +633,9 @@ class InferenceServer {
 
  private:
   InferConfig cfg_;
+  Gang gang_;  ///< member r drains replicas_[r]
   RequestQueue queue_;
   std::vector<std::unique_ptr<InferencePipeline>> replicas_;
-  int64_t next_id_ = 0;
-  ServeStats enqueue_stats_;          ///< submitted/rejected counters
-  std::vector<Completion> rejected_done_;  ///< pending Rejected completions
-  /// Guards the two members above (enqueue can race a running drain).
-  /// Same rank as the queue mutex; the two are only ever held one after
-  /// the other, never nested.
-  mutable sync::Mutex<sync::Rank::ServeQueue> enqueue_mu_;
 };
 
 }  // namespace hanayo::runtime

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "model/checkpoint.hpp"
 #include "schedule/validate.hpp"
 
 namespace hanayo::runtime {
 
-Trainer::Trainer(TrainerConfig cfg) : cfg_(std::move(cfg)) {
+Trainer::Trainer(TrainerConfig cfg)
+    : cfg_(std::move(cfg)), gang_(cfg_.dp * cfg_.sched.P) {
   sched_ = schedule::make_schedule(cfg_.sched);
   const schedule::ValidationResult vr = schedule::validate(sched_);
   if (!vr.ok) throw std::logic_error("Trainer: invalid schedule: " + vr.error);
@@ -17,6 +17,7 @@ Trainer::Trainer(TrainerConfig cfg) : cfg_(std::move(cfg)) {
   const int P = sched_.P;
   const int D = cfg_.dp;
   world_ = std::make_unique<comm::World>(D * P);
+  losses_.resize(static_cast<size_t>(D * P));
 
   // Gradient-sync groups: for each model stage, every (replica, device,
   // chunk) holding that stage.
@@ -64,8 +65,6 @@ Trainer::Trainer(TrainerConfig cfg) : cfg_(std::move(cfg)) {
   }
 }
 
-Trainer::~Trainer() = default;
-
 int64_t Trainer::batch_rows() const {
   return static_cast<int64_t>(cfg_.dp) * sched_.B * cfg_.mb_sequences;
 }
@@ -76,37 +75,23 @@ float Trainer::train_step(const Batch& batch) {
                                 std::to_string(batch.inputs.size(0)) +
                                 " rows, expected " + std::to_string(batch_rows()));
   }
+  for (const tensor::Tensor* ids : {&batch.inputs, &batch.targets}) {
+    check_token_ids(*ids, cfg_.model.vocab, "train_step");
+  }
   timeline_origin_ = std::chrono::steady_clock::now();
-  std::vector<float> losses(workers_.size(), 0.0f);
-  std::vector<std::thread> threads;
-  threads.reserve(workers_.size());
-  std::vector<std::exception_ptr> errors(workers_.size());
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        losses[i] = workers_[i]->run_iteration(batch);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return losses[0];
+  gang_.run([&](int64_t i, int64_t) {
+    losses_[static_cast<size_t>(i)] =
+        workers_[static_cast<size_t>(i)]->run_iteration(batch);
+  });
+  return losses_[0];
 }
 
 std::map<std::string, tensor::Tensor> Trainer::snapshot_params() {
+  // Replica 0; the first Chimera holder wins (the copies are identical).
   std::map<std::string, tensor::Tensor> out;
-  const int P = sched_.P;
-  for (int d = 0; d < P; ++d) {
-    Worker& w = *workers_[static_cast<size_t>(d)];  // replica 0
-    for (auto& chunk : w.chunks()) {
-      for (model::Param* p : chunk.params()) {
-        out.emplace(p->name, p->value);  // Chimera copies are identical;
-                                         // keep the first encountered.
-      }
+  for (int d = 0; d < sched_.P; ++d) {
+    for (auto& chunk : workers_[static_cast<size_t>(d)]->chunks()) {
+      for (model::Param* p : chunk.params()) out.emplace(p->name, p->value);
     }
   }
   return out;
@@ -119,17 +104,10 @@ void Trainer::save_checkpoint(const std::string& path,
         "save_checkpoint: optimizer state is shard-sized under ZeRO-1; "
         "save parameters only and restart the optimizer after restore");
   }
-  // Collect a single copy of every parameter (replica 0; first Chimera
-  // holder wins — copies are identical).
-  std::map<std::string, model::Param*> by_name;
-  for (int d = 0; d < sched_.P; ++d) {
-    for (auto& chunk : workers_[static_cast<size_t>(d)]->chunks()) {
-      for (model::Param* p : chunk.params()) by_name.emplace(p->name, p);
-    }
-  }
+  const std::map<std::string, tensor::Tensor> params = snapshot_params();
   std::vector<model::NamedTensor> records;
-  records.reserve(by_name.size());
-  for (auto& [name, p] : by_name) records.push_back({name, &p->value});
+  records.reserve(params.size());
+  for (const auto& [name, t] : params) records.push_back({name, &t});
 
   // Optimizer slots, deduplicated by record name (replica 0's workers;
   // Chimera's two holders carry identical state).

@@ -1,12 +1,13 @@
 #pragma once
-// Multi-threaded pipeline trainer: builds the schedule, spawns one worker
-// per (replica, pipeline rank), and drives training steps.
+// Multi-threaded pipeline trainer: builds the schedule, constructs one worker
+// per (replica, pipeline rank), and drives steps on a runtime::Gang.
 
 #include <map>
 #include <memory>
 #include <string>
 
 #include "runtime/engine.hpp"
+#include "runtime/gang.hpp"
 #include "runtime/worker.hpp"
 #include "schedule/algorithms.hpp"
 
@@ -44,10 +45,9 @@ class Trainer {
   /// dp * P workers. Throws on invalid configurations (with the validator's
   /// diagnosis in the message).
   explicit Trainer(TrainerConfig cfg);
-  ~Trainer();
 
   /// Runs one synchronous training iteration. `batch` must contain
-  /// dp * B * mb_sequences rows. Returns the global mean loss.
+  /// dp * B * mb_sequences rows of ids in [0, vocab). Returns the loss.
   float train_step(const Batch& batch);
 
   /// Number of batch rows expected per step.
@@ -85,6 +85,8 @@ class Trainer {
  private:
   TrainerConfig cfg_;
   schedule::Schedule sched_;
+  Gang gang_;                                     // member i runs workers_[i]
+  std::vector<float> losses_;                     // per worker, last step
   std::unique_ptr<comm::World> world_;
   std::vector<std::unique_ptr<Worker>> workers_;  // replica-major
   std::chrono::steady_clock::time_point timeline_origin_;

@@ -17,6 +17,15 @@ using schedule::Action;
 using schedule::Op;
 using tensor::Tensor;
 
+void check_token_ids(const Tensor& ids, int64_t vocab, const std::string& who) {
+  for (int64_t i = 0; i < ids.numel(); ++i) {
+    if (!(ids[i] >= 0.0f && ids[i] < static_cast<float>(vocab))) {  // NaN too
+      throw std::invalid_argument(who + ": token id outside [0, " +
+                                  std::to_string(vocab) + ")");
+    }
+  }
+}
+
 Worker::Worker(WorkerParams params, comm::Communicator comm)
     : p_(std::move(params)), comm_(std::move(comm)) {
   const schedule::Placement& pl = p_.sched->placement;

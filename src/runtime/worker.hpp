@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <chrono>
@@ -26,6 +27,11 @@ struct Batch {
   tensor::Tensor inputs;
   tensor::Tensor targets;
 };
+
+/// Throws std::invalid_argument unless every id lies in [0, vocab). Checked
+/// before dispatch: a stage throwing mid-pass would strand its peers in recv.
+void check_token_ids(const tensor::Tensor& ids, int64_t vocab,
+                     const std::string& who);
 
 enum class OptKind { Sgd, AdamW };
 

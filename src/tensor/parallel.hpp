@@ -11,7 +11,7 @@
 // is therefore bit-identical for 1 and N threads.
 //
 // The intra-op thread count composes with the runtime's inter-op threads
-// (the Trainer spawns one thread per pipeline worker): when many workers are
+// (a runtime::Gang runs one member per pipeline worker): when many workers are
 // running, each should use 1 intra-op thread; a single-worker session can
 // give the whole machine to the kernels. `Session` plumbs this through
 // `SessionConfig::intra_op_threads` (0 = pick automatically).

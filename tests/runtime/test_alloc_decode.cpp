@@ -45,15 +45,16 @@ namespace {
 // decode hot path. Fix the source — never raise this number.
 constexpr int64_t kDecodePassAllocBudget = 0;
 
-// Steady-state training step, same differential methodology. Measured at
-// 461 per step on this configuration (P=2, B=4, dp=1, gcc 12 /
-// libstdc++): per-step worker thread spawns (the Trainer joins its gang
-// every step — the flush is a hard barrier anyway), act_/grad_ map nodes,
-// posted-receive slots and allreduce staging. Tensor payloads themselves
-// already come from the iteration arena; what remains is container/thread
-// bookkeeping off the serving latency path. Ratchet DOWN as training-side
-// pooling grows; never raise without a CHANGES.md note.
-constexpr int64_t kTrainStepAllocBudget = 512;
+// Steady-state training step, same differential methodology, on this
+// configuration (P=2, B=4, dp=1, gcc 12 / libstdc++). History: 461 per
+// step (bound 512) while the Trainer spawned and joined its worker threads
+// every step; 458 (bound 458) once steps ran on a persistent runtime::Gang.
+// What remains is container bookkeeping: act_/grad_ map nodes, the posted-
+// receive map and allreduce staging. Tensor payloads themselves already
+// come from the iteration arena, and none of this is on the serving
+// latency path. Ratchet DOWN as training-side pooling grows; never raise
+// without a CHANGES.md note.
+constexpr int64_t kTrainStepAllocBudget = 458;
 
 InferConfig tiny_serving_config() {
   InferConfig cfg;
