@@ -156,6 +156,9 @@
 //   * Threads: runtime code forks work only through runtime::Gang
 //     (runtime/gang.hpp); never spawn a std::thread or hand-roll an
 //     exception_ptr join there. Kernels use tensor::parallel_for.
+//   * Receives: a pipeline interpreter receives only through
+//     runtime::RecvAhead (runtime/recv_ahead.hpp), which owns the tags,
+//     the prefetch window and the posted-receive ring.
 //   * Sanitizers: CI runs the full suite under TSan and ASan+UBSan with no
 //     suppression files. A race or lifetime bug anywhere in the threaded
 //     stack fails the build; do not add suppressions, fix the bug.

@@ -4,6 +4,7 @@
 
 #include "model/loss.hpp"
 #include "model/partition.hpp"
+#include "runtime/recv_ahead.hpp"
 
 namespace hanayo::runtime {
 
@@ -20,7 +21,8 @@ class AsyncTrainer::StageWorker {
  public:
   StageWorker(const AsyncTrainerConfig& cfg, int device,
               comm::Communicator comm)
-      : cfg_(cfg), device_(device), comm_(std::move(comm)) {
+      : cfg_(cfg), device_(device), comm_(std::move(comm)),
+        recv_(cfg.prefetch_depth) {
     const auto descs = cfg.model.layer_descs();
     const int64_t tokens =
         static_cast<int64_t>(cfg.mb_sequences) * cfg.model.seq;
@@ -45,39 +47,9 @@ class AsyncTrainer::StageWorker {
     stash_peak_bytes_ = 0;
     stash_peak_entries_ = 0;
 
-    // Communication prefetch (paper §4.2), identical in spirit to the
-    // synchronous Worker: post up to prefetch_depth receives ahead.
-    struct Posted {
-      comm::Request req;
-      std::unique_ptr<Tensor> slot;
-    };
-    std::map<size_t, Posted> posted;
-    size_t scan = 0;
-    int outstanding = 0;
-    const auto post_recv = [&](size_t idx) {
-      const Action& a = script.actions[idx];
-      Posted ps;
-      ps.slot = std::make_unique<Tensor>();
-      if (a.op == Op::RecvAct) {
-        ps.req = comm_.irecv(a.peer, make_tag(Kind::Activation, a.mb, a.pos - 1),
-                             ps.slot.get());
-      } else {
-        ps.req = comm_.irecv(a.peer, make_tag(Kind::Gradient, a.mb, a.pos + 1),
-                             ps.slot.get());
-      }
-      posted.emplace(idx, std::move(ps));
-    };
-    const auto prefetch = [&] {
-      while (scan < script.actions.size() && outstanding < cfg_.prefetch_depth) {
-        const Op op = script.actions[scan].op;
-        if (op == Op::RecvAct || op == Op::RecvGrad) {
-          post_recv(scan);
-          ++outstanding;
-        }
-        ++scan;
-      }
-    };
-    prefetch();
+    // Receives go through the runtime's one prefetcher (paper §4.2), as in
+    // the synchronous Worker.
+    recv_.start(script, comm_, /*peer_base=*/0);
 
     std::map<int, Tensor> act_in;    // mb -> input activation
     std::map<int, Tensor> act_out;   // mb -> output (kept on last stage)
@@ -88,29 +60,13 @@ class AsyncTrainer::StageWorker {
       const Action& a = script.actions[i];
       switch (a.op) {
         case Op::LoadInput:
-          act_in[a.mb] = input_slice(batch, a.mb);
+          act_in[a.mb] = mb_rows(batch.inputs, a.mb);
           break;
 
         case Op::RecvAct:
-        case Op::RecvGrad: {
-          auto it = posted.find(i);
-          if (it == posted.end()) {
-            post_recv(i);
-            ++outstanding;
-            if (scan <= i) scan = i + 1;
-            it = posted.find(i);
-          }
-          it->second.req->wait();
-          --outstanding;
-          if (a.op == Op::RecvAct) {
-            act_in[a.mb] = std::move(*it->second.slot);
-          } else {
-            grad_in[a.mb] = std::move(*it->second.slot);
-          }
-          posted.erase(it);
-          prefetch();
+        case Op::RecvGrad:
+          (a.op == Op::RecvAct ? act_in : grad_in)[a.mb] = recv_.take(i);
           break;
-        }
 
         case Op::Forward: {
           const auto it = act_in.find(a.mb);
@@ -121,7 +77,6 @@ class AsyncTrainer::StageWorker {
           Tensor y = module_.forward(it->second, a.mb);
           act_in.erase(it);
           act_out[a.mb] = std::move(y);
-          prefetch();
           break;
         }
 
@@ -144,7 +99,7 @@ class AsyncTrainer::StageWorker {
               throw std::logic_error("async Backward: missing logits");
             }
             auto [loss, dlogits] =
-                model::cross_entropy(it->second, target_slice(batch, a.mb));
+                model::cross_entropy(it->second, mb_rows(batch.targets, a.mb));
             if (mb_loss != nullptr) {
               (*mb_loss)[static_cast<size_t>(a.mb)] = loss;
             }
@@ -171,7 +126,6 @@ class AsyncTrainer::StageWorker {
             dx = module_.backward(dy, a.mb);
           }
           if (device_ > 0) grad_out[a.mb] = std::move(dx);
-          prefetch();
           break;
         }
 
@@ -204,35 +158,16 @@ class AsyncTrainer::StageWorker {
   int stash_peak_entries() const { return stash_peak_entries_; }
 
  private:
-  Tensor input_slice(const Batch& batch, int m) const {
-    const int64_t seq = batch.inputs.size(1);
+  /// Rows of stream micro-batch m (the stream cycles over the batch).
+  Tensor mb_rows(const Tensor& src, int m) const {
     const int64_t row0 =
         static_cast<int64_t>(m % cfg_.micro_batches) * cfg_.mb_sequences;
-    Tensor out({cfg_.mb_sequences, seq});
-    for (int64_t r = 0; r < cfg_.mb_sequences; ++r) {
-      for (int64_t t = 0; t < seq; ++t) out.at(r, t) = batch.inputs.at(row0 + r, t);
-    }
-    return out;
-  }
-
-  Tensor target_slice(const Batch& batch, int m) const {
-    const int64_t seq = batch.targets.size(1);
-    const int64_t row0 =
-        static_cast<int64_t>(m % cfg_.micro_batches) * cfg_.mb_sequences;
-    Tensor out({cfg_.mb_sequences * seq});
-    for (int64_t r = 0; r < cfg_.mb_sequences; ++r) {
-      for (int64_t t = 0; t < seq; ++t) out[r * seq + t] = batch.targets.at(row0 + r, t);
-    }
-    return out;
+    return slice_rows(src, row0, cfg_.mb_sequences);
   }
 
   void stash_params(int mb) {
     std::vector<Tensor> copy;
-    int64_t bytes = 0;
-    for (model::Param* p : module_.params()) {
-      copy.push_back(p->value);
-      bytes += p->value.bytes();
-    }
+    for (model::Param* p : module_.params()) copy.push_back(p->value);
     stash_[mb] = std::move(copy);
     stash_peak_entries_ =
         std::max(stash_peak_entries_, static_cast<int>(stash_.size()));
@@ -241,7 +176,6 @@ class AsyncTrainer::StageWorker {
       for (const Tensor& t : vs) total += t.bytes();
     }
     stash_peak_bytes_ = std::max(stash_peak_bytes_, total);
-    (void)bytes;
   }
 
   void swap_with_stash(int mb) {
@@ -263,6 +197,7 @@ class AsyncTrainer::StageWorker {
   AsyncTrainerConfig cfg_;
   int device_;
   comm::Communicator comm_;
+  RecvAhead recv_;
   model::StageModule module_;
   std::unique_ptr<model::Optimizer> optimizer_;
   std::map<int, std::vector<Tensor>> stash_;  // mb -> weight version

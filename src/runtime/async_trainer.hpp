@@ -34,7 +34,7 @@ struct AsyncTrainerConfig {
   float lr = 0.05f;
   float momentum = 0.0f;
   bool weight_stashing = true;
-  int prefetch_depth = 2;
+  int prefetch_depth = 2;  ///< receives posted ahead (RecvAhead); < 0 throws
 };
 
 /// Per-step report of the asynchronous run.

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "runtime/kv_store.hpp"
+#include "runtime/recv_ahead.hpp"
 #include "schedule/validate.hpp"
 
 namespace hanayo::runtime {
@@ -459,22 +460,24 @@ static int64_t derived_arena_bytes(const InferConfig& cfg) {
 
 /// One serving pipeline worker: owns the local stage chunks (the same
 /// partition the trainer would build) and interprets the forward-only action
-/// list of one pass, with the trainer's receive prefetching. The last-stage
-/// worker additionally turns each micro-batch's final-row logits into the
-/// next token via the configured sampling policy (the micro-batch's uniform
-/// draw rides in on its PassEntry).
+/// list of one pass, receiving through the runtime's one prefetcher
+/// (RecvAhead, paper §4.2). The last-stage worker additionally turns each
+/// micro-batch's final-row logits into the next token via the configured
+/// sampling policy (the micro-batch's uniform draw rides in on its
+/// PassEntry).
 ///
 /// Zero-allocation steady state: every pass-lifetime tensor this worker
 /// creates (received activations, chunk outputs, kernel scratch) draws from
 /// the worker's own arena, reset at pass entry; the interpreter's working
-/// state (activation slots, posted receives, next tokens) lives in member
-/// vectors that are cleared — never shrunk — per pass.
+/// state (activation slots, next tokens) lives in member vectors that are
+/// cleared — never shrunk — per pass, and RecvAhead's ring of posted
+/// receives stops growing after the first pass.
 class InferWorker {
  public:
   InferWorker(const InferConfig& cfg, const schedule::Placement& pl, int rank,
               comm::Communicator comm)
-      : rank_(rank), prefetch_depth_(cfg.prefetch_depth),
-        sampling_(cfg.sampling), comm_(std::move(comm)),
+      : rank_(rank), sampling_(cfg.sampling), comm_(std::move(comm)),
+        recv_(cfg.prefetch_depth),
         arena_(derived_arena_bytes(cfg)) {
     const auto descs = cfg.model.layer_descs();
     const auto ranges =
@@ -491,10 +494,6 @@ class InferWorker {
       // bug).
       chunks_.back().set_kv_capacity(cfg.model.seq);
     }
-    // Stable Posted entries: `slot` addresses are handed to irecv, so the
-    // vector is sized once (outstanding <= prefetch_depth, +1 for the
-    // not-prefetched inline post) and never reallocated.
-    posted_.resize(static_cast<size_t>(std::max(0, prefetch_depth_)) + 1);
   }
 
   /// Interprets this device's script for one pass. `plan[mb]` describes
@@ -523,48 +522,7 @@ class InferWorker {
       }
     }
 
-    // Receive prefetching, as in Worker::run_iteration (paper §4.2).
-    for (Posted& p : posted_) {
-      p.live = false;
-      p.req.reset();
-    }
-    size_t scan = 0;
-    int outstanding = 0;
-    const auto find_posted = [&](size_t idx) -> Posted* {
-      for (Posted& p : posted_) {
-        if (p.live && p.idx == idx) return &p;
-      }
-      return nullptr;
-    };
-    const auto post_recv = [&](size_t idx) {
-      Posted* ps = nullptr;
-      for (Posted& p : posted_) {
-        if (!p.live) {
-          ps = &p;
-          break;
-        }
-      }
-      // posted_ holds prefetch_depth+1 entries and at most prefetch_depth
-      // are outstanding before an inline post, so a free one always exists.
-      const Action& a = script.actions[idx];
-      ps->idx = idx;
-      ps->live = true;
-      ps->slot = Tensor();
-      ps->req = comm_.irecv(a.peer, make_tag(Kind::Activation, a.mb, a.pos - 1),
-                            &ps->slot);
-    };
-    const auto prefetch = [&] {
-      while (scan < script.actions.size() && outstanding < prefetch_depth_) {
-        const Op op = script.actions[scan].op;
-        if (op == Op::Flush) break;
-        if (op == Op::RecvAct) {
-          post_recv(scan);
-          ++outstanding;
-        }
-        ++scan;
-      }
-    };
-    prefetch();
+    recv_.start(script, comm_, /*peer_base=*/0);
 
     for (size_t i = 0; i < script.actions.size(); ++i) {
       const Action& a = script.actions[i];
@@ -573,22 +531,9 @@ class InferWorker {
           act_at(a.mb, -1) = plan[static_cast<size_t>(a.mb)].input;
           break;
 
-        case Op::RecvAct: {
-          Posted* ps = find_posted(i);
-          if (ps == nullptr) {
-            post_recv(i);
-            ++outstanding;
-            if (scan <= i) scan = i + 1;
-            ps = find_posted(i);
-          }
-          ps->req->wait();
-          --outstanding;
-          act_at(a.mb, a.pos - 1) = std::move(ps->slot);
-          ps->req.reset();
-          ps->live = false;
-          prefetch();
+        case Op::RecvAct:
+          act_at(a.mb, a.pos - 1) = recv_.take(i);
           break;
-        }
 
         case Op::Forward: {
           Tensor& x = act_at(a.mb, a.pos == 0 ? -1 : a.pos - 1);
@@ -605,7 +550,6 @@ class InferWorker {
           } else {
             act_at(a.mb, a.pos) = std::move(y);
           }
-          prefetch();
           break;
         }
 
@@ -651,23 +595,13 @@ class InferWorker {
   }
 
  private:
-  /// One posted-ahead receive; `slot` must stay address-stable while the
-  /// request is outstanding, so these live in a fixed-size vector.
-  struct Posted {
-    size_t idx = 0;
-    bool live = false;
-    comm::Request req;
-    Tensor slot;
-  };
-
   int rank_;
-  int prefetch_depth_;
   Sampling sampling_;
   comm::Communicator comm_;
+  RecvAhead recv_;
   std::vector<model::StageModule> chunks_;
   std::vector<int64_t> next_tokens_;
   std::vector<Tensor> act_;  ///< flat (mb, pos) slots, rebuilt per pass
-  std::vector<Posted> posted_;
   tensor::Arena arena_;  ///< pass-lifetime allocations, reset per pass
 };
 

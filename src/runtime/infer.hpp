@@ -232,7 +232,7 @@ struct InferConfig {
   /// paging but makes every stream's pages private.
   bool prefix_cache = true;
   uint64_t seed = 1;
-  int prefetch_depth = 2;
+  int prefetch_depth = 2;  ///< receives posted ahead (RecvAhead); < 0 throws
   /// Default per-request SLA, seconds from enqueue; 0 = no deadline.
   /// enqueue()'s per-request deadline overrides it.
   double deadline_s = 0.0;

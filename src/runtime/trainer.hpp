@@ -22,7 +22,7 @@ struct TrainerConfig {
   OptKind opt = OptKind::Sgd;
   float lr = 0.1f;
   float momentum = 0.0f;
-  int prefetch_depth = 2;
+  int prefetch_depth = 2;  ///< receives posted ahead (RecvAhead); < 0 throws
   /// Enable activation recomputation (gradient checkpointing) on all stages.
   bool recompute = false;
   /// Enable ZeRO-1 optimizer-state sharding across each stage's

@@ -26,8 +26,18 @@ void check_token_ids(const Tensor& ids, int64_t vocab, const std::string& who) {
   }
 }
 
+Tensor slice_rows(const Tensor& src, int64_t row0, int64_t rows) {
+  const int64_t seq = src.size(1);
+  Tensor out({rows, seq});
+  std::memcpy(out.data(), src.data() + row0 * seq,
+              static_cast<size_t>(rows * seq) * sizeof(float));
+  return out;
+}
+
 Worker::Worker(WorkerParams params, comm::Communicator comm)
-    : p_(std::move(params)), comm_(std::move(comm)) {
+    : p_(std::move(params)),
+      comm_(std::move(comm)),
+      recv_(p_.prefetch_depth) {
   const schedule::Placement& pl = p_.sched->placement;
   const int d = p_.pipeline_rank;
   const auto descs = p_.model.layer_descs();
@@ -52,31 +62,22 @@ Worker::Worker(WorkerParams params, comm::Communicator comm)
   }
 }
 
-Tensor Worker::input_slice(const Batch& batch, int m) const {
-  const int64_t seq = batch.inputs.size(1);
-  const int64_t row0 = (static_cast<int64_t>(p_.replica) * p_.sched->B + m) * p_.mb_sequences;
-  Tensor out({p_.mb_sequences, seq});
-  for (int64_t r = 0; r < p_.mb_sequences; ++r) {
-    for (int64_t t = 0; t < seq; ++t) out.at(r, t) = batch.inputs.at(row0 + r, t);
-  }
-  return out;
+Tensor Worker::mb_rows(const Tensor& src, int m) const {
+  const int64_t row0 =
+      (static_cast<int64_t>(p_.replica) * p_.sched->B + m) * p_.mb_sequences;
+  return slice_rows(src, row0, p_.mb_sequences);
 }
 
-Tensor Worker::target_slice(const Batch& batch, int m) const {
-  const int64_t seq = batch.targets.size(1);
-  const int64_t row0 = (static_cast<int64_t>(p_.replica) * p_.sched->B + m) * p_.mb_sequences;
-  Tensor out({p_.mb_sequences * seq});
-  for (int64_t r = 0; r < p_.mb_sequences; ++r) {
-    for (int64_t t = 0; t < seq; ++t) out[r * seq + t] = batch.targets.at(row0 + r, t);
-  }
-  return out;
+Tensor& Worker::slot(std::vector<Tensor>& slots, int m, int pos) const {
+  const size_t per_mb = static_cast<size_t>(p_.sched->placement.stages()) + 1;
+  return slots[static_cast<size_t>(m) * per_mb + static_cast<size_t>(pos + 1)];
 }
 
 void Worker::note_memory() {
   int64_t cur = 0;
   for (const StageModule& c : chunks_) cur += c.cached_bytes();
-  for (const auto& [k, v] : act_) cur += v.bytes();
-  for (const auto& [k, v] : grad_) cur += v.bytes();
+  for (const Tensor& v : act_) cur += v.bytes();
+  for (const Tensor& v : grad_) cur += v.bytes();
   peak_cache_bytes_ = std::max(peak_cache_bytes_, cur);
 }
 
@@ -91,8 +92,11 @@ float Worker::run_iteration(const Batch& batch) {
   const int B = sched.B;
   const float scale = 1.0f / static_cast<float>(B * p_.dp);
 
+  const size_t slots = static_cast<size_t>(B) * static_cast<size_t>(S + 1);
   act_.clear();
+  act_.resize(slots);
   grad_.clear();
+  grad_.resize(slots);
   peak_cache_bytes_ = 0;
   timeline_.clear();
   float loss_local = 0.0f;
@@ -103,117 +107,69 @@ float Worker::run_iteration(const Batch& batch) {
         .count();
   };
 
-  // ---- Prefetching (paper §4.2): post up to `prefetch_depth` receive
-  // requests ahead of the interpreter's program counter.
-  struct Posted {
-    comm::Request req;
-    std::unique_ptr<Tensor> slot;
-  };
-  std::map<size_t, Posted> posted;
-  size_t scan = 0;
-  int outstanding = 0;
-  const auto post_recv = [&](size_t idx) {
-    const Action& a = script.actions[idx];
-    Posted ps;
-    ps.slot = std::make_unique<Tensor>();
-    if (a.op == Op::RecvAct) {
-      ps.req = comm_.irecv(a.peer + p_.replica * sched.P,
-                           make_tag(Kind::Activation, a.mb, a.pos - 1), ps.slot.get());
-    } else {
-      ps.req = comm_.irecv(a.peer + p_.replica * sched.P,
-                           make_tag(Kind::Gradient, a.mb, a.pos + 1), ps.slot.get());
-    }
-    posted.emplace(idx, std::move(ps));
-  };
-  const auto prefetch = [&] {
-    while (scan < script.actions.size() && outstanding < p_.prefetch_depth) {
-      const Op op = script.actions[scan].op;
-      if (op == Op::Flush) break;
-      if (op == Op::RecvAct || op == Op::RecvGrad) {
-        post_recv(scan);
-        ++outstanding;
-      }
-      ++scan;
-    }
-  };
-  prefetch();
+  recv_.start(script, comm_, p_.replica * sched.P);
 
   for (size_t i = 0; i < script.actions.size(); ++i) {
     const Action& a = script.actions[i];
     switch (a.op) {
       case Op::LoadInput:
-        act_[{a.mb, -1}] = input_slice(batch, a.mb);
+        slot(act_, a.mb, -1) = mb_rows(batch.inputs, a.mb);
         break;
 
       case Op::RecvAct:
       case Op::RecvGrad: {
-        auto it = posted.find(i);
-        if (it == posted.end()) {
-          // Not prefetched (depth exhausted); post now and wait.
-          post_recv(i);
-          ++outstanding;
-          if (scan <= i) scan = i + 1;
-          it = posted.find(i);
-        }
-        it->second.req->wait();
-        --outstanding;
-        Tensor got = std::move(*it->second.slot);
+        Tensor got = recv_.take(i);
         if (p_.fp16_comm) got = comm::unpack_fp16(got);
         if (a.op == Op::RecvAct) {
-          act_[{a.mb, a.pos - 1}] = std::move(got);
+          slot(act_, a.mb, a.pos - 1) = std::move(got);
         } else {
-          grad_[{a.mb, a.pos + 1}] = std::move(got);
+          slot(grad_, a.mb, a.pos + 1) = std::move(got);
         }
-        posted.erase(it);
-        prefetch();
         break;
       }
 
       case Op::Forward: {
-        const auto key = std::pair<int, int>{a.mb, a.pos == 0 ? -1 : a.pos - 1};
-        const auto it = act_.find(key);
-        if (it == act_.end()) {
+        Tensor& x = slot(act_, a.mb, a.pos == 0 ? -1 : a.pos - 1);
+        if (x.numel() == 0) {
           throw std::logic_error("Forward: missing input activation");
         }
         StageModule& chunk = chunks_[static_cast<size_t>(a.chunk)];
         const double t0 = p_.timeline_origin ? since_origin() : 0.0;
-        Tensor y = chunk.forward(it->second, a.mb);
+        Tensor y = chunk.forward(x, a.mb);
         if (p_.timeline_origin) {
           timeline_.push_back({a.mb, a.pos, false, t0, since_origin()});
         }
-        act_.erase(it);
-        act_[{a.mb, a.pos}] = std::move(y);
+        x = Tensor();
+        slot(act_, a.mb, a.pos) = std::move(y);
         note_memory();
-        prefetch();
         break;
       }
 
       case Op::SendAct: {
-        const auto it = act_.find({a.mb, a.pos});
-        if (it == act_.end()) throw std::logic_error("SendAct: missing activation");
-        Tensor payload = p_.fp16_comm ? comm::pack_fp16(it->second)
-                                      : std::move(it->second);
+        Tensor& y = slot(act_, a.mb, a.pos);
+        if (y.numel() == 0) throw std::logic_error("SendAct: missing activation");
+        Tensor payload = p_.fp16_comm ? comm::pack_fp16(y) : std::move(y);
         comm_.isend(a.peer + p_.replica * sched.P,
                     make_tag(Kind::Activation, a.mb, a.pos), std::move(payload));
-        act_.erase(it);
+        y = Tensor();
         break;
       }
 
       case Op::Backward: {
         Tensor dy;
         if (a.pos == S - 1) {
-          const auto it = act_.find({a.mb, a.pos});
-          if (it == act_.end()) throw std::logic_error("Backward: missing logits");
-          auto [loss, dlogits] =
-              model::cross_entropy(it->second, target_slice(batch, a.mb), scale);
+          Tensor& logits = slot(act_, a.mb, a.pos);
+          if (logits.numel() == 0) throw std::logic_error("Backward: missing logits");
+          auto [loss, dlogits] = model::cross_entropy(
+              logits, mb_rows(batch.targets, a.mb), scale);
           loss_local += loss;
           dy = std::move(dlogits);
-          act_.erase(it);
+          logits = Tensor();
         } else {
-          const auto it = grad_.find({a.mb, a.pos + 1});
-          if (it == grad_.end()) throw std::logic_error("Backward: missing gradient");
-          dy = std::move(it->second);
-          grad_.erase(it);
+          Tensor& g = slot(grad_, a.mb, a.pos + 1);
+          if (g.numel() == 0) throw std::logic_error("Backward: missing gradient");
+          dy = std::move(g);
+          g = Tensor();
         }
         StageModule& chunk = chunks_[static_cast<size_t>(a.chunk)];
         const double t0 = p_.timeline_origin ? since_origin() : 0.0;
@@ -221,20 +177,18 @@ float Worker::run_iteration(const Batch& batch) {
         if (p_.timeline_origin) {
           timeline_.push_back({a.mb, a.pos, true, t0, since_origin()});
         }
-        if (a.pos > 0) grad_[{a.mb, a.pos}] = std::move(dx);
+        if (a.pos > 0) slot(grad_, a.mb, a.pos) = std::move(dx);
         note_memory();
-        prefetch();
         break;
       }
 
       case Op::SendGrad: {
-        const auto it = grad_.find({a.mb, a.pos});
-        if (it == grad_.end()) throw std::logic_error("SendGrad: missing gradient");
-        Tensor payload = p_.fp16_comm ? comm::pack_fp16(it->second)
-                                      : std::move(it->second);
+        Tensor& g = slot(grad_, a.mb, a.pos);
+        if (g.numel() == 0) throw std::logic_error("SendGrad: missing gradient");
+        Tensor payload = p_.fp16_comm ? comm::pack_fp16(g) : std::move(g);
         comm_.isend(a.peer + p_.replica * sched.P,
                     make_tag(Kind::Gradient, a.mb, a.pos), std::move(payload));
-        grad_.erase(it);
+        g = Tensor();
         break;
       }
 

@@ -1,6 +1,7 @@
 #pragma once
 // One pipeline worker: owns the local model chunks and interprets its
-// device's action list (paper §4.1) with communication prefetching (§4.2).
+// device's action list (paper §4.1), receiving through the runtime's one
+// prefetcher, RecvAhead (§4.2).
 
 #include <cstdint>
 #include <map>
@@ -16,6 +17,7 @@
 #include "model/optimizer.hpp"
 #include "model/partition.hpp"
 #include "model/transformer.hpp"
+#include "runtime/recv_ahead.hpp"
 #include "schedule/actions.hpp"
 #include "tensor/arena.hpp"
 
@@ -32,6 +34,11 @@ struct Batch {
 /// before dispatch: a stage throwing mid-pass would strand its peers in recv.
 void check_token_ids(const tensor::Tensor& ids, int64_t vocab,
                      const std::string& who);
+
+/// Copies rows [row0, row0 + rows) of `src` (shaped [N, seq]) into a new
+/// [rows, seq] tensor: one micro-batch's inputs or targets.
+tensor::Tensor slice_rows(const tensor::Tensor& src, int64_t row0,
+                          int64_t rows);
 
 enum class OptKind { Sgd, AdamW };
 
@@ -58,7 +65,8 @@ struct WorkerParams {
   float lr = 0.1f;
   float momentum = 0.0f;
   /// Maximum number of receive requests posted ahead of need (0 disables
-  /// prefetching — then receives block at the consuming action).
+  /// prefetching — then receives block at the consuming action; < 0 is
+  /// rejected at construction).
   int prefetch_depth = 2;
   /// Activation recomputation on every chunk (see StageModule::set_recompute).
   bool recompute = false;
@@ -122,8 +130,11 @@ class Worker {
   const std::vector<ComputeSpan>& last_timeline() const { return timeline_; }
 
  private:
-  tensor::Tensor input_slice(const Batch& batch, int m) const;
-  tensor::Tensor target_slice(const Batch& batch, int m) const;
+  /// Rows of micro-batch m in this replica's share of a batch.
+  tensor::Tensor mb_rows(const tensor::Tensor& src, int m) const;
+  /// Slot (m, pos) of act_ or grad_; pos runs from -1 (the loaded input)
+  /// to S - 1. An empty tensor marks a vacant slot.
+  tensor::Tensor& slot(std::vector<tensor::Tensor>& slots, int m, int pos) const;
   void note_memory();
   void zero_opt_step();
   /// Local chunk indices sorted by global stage id — the iteration order for
@@ -132,6 +143,7 @@ class Worker {
 
   WorkerParams p_;
   comm::Communicator comm_;
+  RecvAhead recv_;
   std::vector<model::StageModule> chunks_;
   std::vector<int> chunk_stages_;
   std::map<int, int> chunk_of_stage_;  // stage id -> local chunk index
@@ -140,9 +152,9 @@ class Worker {
   int64_t opt_steps_ = 0;
   std::vector<ComputeSpan> timeline_;
 
-  // Iteration-scoped state (cleared per run).
-  std::map<std::pair<int, int>, tensor::Tensor> act_;   // (m, pos) -> activation
-  std::map<std::pair<int, int>, tensor::Tensor> grad_;  // (m, pos) -> input-grad of pos
+  // Iteration-scoped (m, pos) slots, cleared per run but never shrunk.
+  std::vector<tensor::Tensor> act_;   // activation output by pos
+  std::vector<tensor::Tensor> grad_;  // input-grad of pos
 
   /// Iteration-lifetime tensor arena: run_iteration opens an ArenaScope on
   /// it, so activations, gradients-in-flight, attention scratch and comm

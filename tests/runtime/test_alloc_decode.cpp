@@ -48,13 +48,16 @@ constexpr int64_t kDecodePassAllocBudget = 0;
 // Steady-state training step, same differential methodology, on this
 // configuration (P=2, B=4, dp=1, gcc 12 / libstdc++). History: 461 per
 // step (bound 512) while the Trainer spawned and joined its worker threads
-// every step; 458 (bound 458) once steps ran on a persistent runtime::Gang.
-// What remains is container bookkeeping: act_/grad_ map nodes, the posted-
-// receive map and allreduce staging. Tensor payloads themselves already
-// come from the iteration arena, and none of this is on the serving
-// latency path. Ratchet DOWN as training-side pooling grows; never raise
-// without a CHANGES.md note.
-constexpr int64_t kTrainStepAllocBudget = 458;
+// every step; 458 (bound 458) once steps ran on a persistent runtime::Gang;
+// 375-376 (bound 376, from 455-456) once the worker's (mb, pos) activation
+// and gradient slots became flat vectors and posted receives a fixed
+// RecvAhead ring. What remains is mostly the model layers' per-micro-batch
+// forward-cache map nodes, plus the parameter lists gathered at the flush
+// and optimizer step and the odd mailbox queue growth. Tensor payloads
+// themselves already come from the iteration arena, and none of this is
+// on the serving latency path. Ratchet DOWN as training-side pooling
+// grows; never raise without a CHANGES.md note.
+constexpr int64_t kTrainStepAllocBudget = 376;
 
 InferConfig tiny_serving_config() {
   InferConfig cfg;
