@@ -126,24 +126,26 @@ struct InferenceConfig : EngineConfig {
   /// the last token; the Completion says StopReason::StopToken); the KV
   /// slot frees at the next pass boundary.
   std::vector<int64_t> stop_tokens;
-  /// Half-precision KV-cache storage: cached K/V panels are stored as fp16
-  /// words and converted back for the attention kernels, halving
+  /// Half-precision KV-cache storage: cached K/V pages hold fp16 words,
+  /// dequantised run by run for the attention kernels, halving
   /// slot_bytes() (decode logits change within fp16 rounding; the
   /// cross-backend token-identity guarantee still holds, because every
   /// engine quantizes identically).
   bool kv_fp16 = false;
-  /// Paged KV storage with cross-request prefix caching
-  /// (runtime/kv_store.hpp): per-stream K/V rows live in pooled fixed-size
-  /// pages, admission is priced in pages actually needed, and requests
-  /// sharing a prompt prefix reuse cached pages (skipping the shared
-  /// prefill). Decode tokens stay bitwise identical to the contiguous path.
+  /// K/V rows always live in pooled fixed-size pages
+  /// (runtime/kv_store.hpp) and admission is always priced in pages.
+  /// paged_kv switches on the knobs below: cross-request prefix caching
+  /// (requests sharing a prompt prefix reuse cached pages, skipping the
+  /// shared prefill) and the page/pool sizes. Off means private pages of
+  /// the default size in the derived pool. Decode tokens are bitwise
+  /// identical either way.
   bool paged_kv = false;
-  int kv_page_tokens = 16;  ///< token rows per page, per attention layer
-  /// Per-replica pool size in pages; 0 derives the contiguous-equivalent
-  /// capacity (max_batch worst-case streams always fit).
+  int kv_page_tokens = 16;  ///< rows per page per attention layer (paged_kv)
+  /// Per-replica pool size in pages (paged_kv); 0 derives a pool where
+  /// max_batch worst-case streams always fit.
   int64_t kv_pool_pages = 0;
-  /// Cross-request prefix caching (only meaningful with paged_kv). Off
-  /// keeps paging but makes every stream's pages private.
+  /// Cross-request prefix caching (paged_kv only). Off keeps every
+  /// stream's pages private.
   bool prefix_cache = true;
   /// Nominal prompt length used by predict() and the Sim backend (the
   /// measured backends use real request lengths). Defaults to half the

@@ -174,14 +174,14 @@ class InferenceSession::Builder
   Builder& data_parallel(int dp) { cfg_.dp = dp; return *this; }
   /// Half-precision KV-cache storage (see InferenceConfig::kv_fp16).
   Builder& kv_fp16(bool on = true) { cfg_.kv_fp16 = on; return *this; }
-  /// Paged KV storage with prefix caching (see InferenceConfig::paged_kv):
-  /// pooled fixed-size pages, page-priced admission, shared prompt-prefix
-  /// pages. Decode tokens stay bitwise identical to the contiguous path.
+  /// Prefix caching and the page/pool knobs of the KV page store (see
+  /// InferenceConfig::paged_kv): shared prompt-prefix pages. Decode tokens
+  /// stay bitwise identical to a run without it.
   Builder& paged_kv(bool on = true) { cfg_.paged_kv = on; return *this; }
   /// Token rows per KV page (per attention layer; paged_kv only).
   Builder& kv_page_tokens(int n) { cfg_.kv_page_tokens = n; return *this; }
-  /// Per-replica page-pool size; 0 derives the contiguous-equivalent
-  /// capacity (max_batch worst-case streams always fit).
+  /// Per-replica page-pool size (paged_kv only); 0 derives a pool where
+  /// max_batch worst-case streams always fit.
   Builder& kv_pool_pages(int64_t n) { cfg_.kv_pool_pages = n; return *this; }
   /// Cross-request prefix caching toggle (paged_kv only; default on).
   Builder& prefix_cache(bool on = true) {

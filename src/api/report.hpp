@@ -97,10 +97,11 @@ struct ServeReport {
   double prefill_s = 0.0;
   double decode_s = 0.0;
   int64_t peak_kv_bytes = 0;
-  /// Paged-KV columns (all zero when InferenceConfig::paged_kv is off):
-  /// pool pages allocated at report time / the run's high-water mark, and
-  /// the prefix cache's admission hits / prompt tokens those hits skipped
-  /// at prefill (== prefill tokens saved).
+  /// KV page columns: pool pages allocated at report time / the run's
+  /// high-water mark (every live run pages its KV; zero for predictions
+  /// and the Reference backend), and the prefix cache's admission hits /
+  /// prompt tokens those hits skipped at prefill (== prefill tokens saved;
+  /// zero unless InferenceConfig::paged_kv enables the prefix cache).
   int64_t kv_pages_in_use = 0;
   int64_t kv_pages_peak = 0;
   int64_t prefix_hits = 0;

@@ -110,13 +110,14 @@
 //                                           // finish timestamps on each
 //   auto load_rep = sla_server.report();    // p50/p99 TTFT over survivors
 //
-// Paged KV & prefix caching swap the per-stream contiguous KV slabs for a
-// pooled page allocator with a cross-request prefix cache: fixed-size pages
-// (kv_page_tokens rows per attention layer), admission priced in pages a
-// request can actually need instead of a worst-case slot, and requests that
-// share a prompt head (a common system prompt) adopting the published pages
-// and skipping that part of prefill — while decoding tokens that stay
-// bitwise identical to the contiguous path. Chat-style reuse:
+// KV rows always live in one pooled page store per replica, with admission
+// priced in pages a request can actually need instead of a worst-case
+// slot. .paged_kv() turns on its cross-request prefix cache and the
+// page/pool knobs: fixed-size pages (kv_page_tokens rows per attention
+// layer), and requests that share a prompt head (a common system prompt)
+// adopting the published pages and skipping that part of prefill — while
+// decoding tokens that stay bitwise identical to a run without it.
+// Chat-style reuse:
 //
 //   auto paged = hanayo::InferenceSession::builder()
 //                    .model(hanayo::ModelConfig::tiny(6, 32, 2, 67,
@@ -138,7 +139,8 @@
 //
 // (.kv_pool_pages(n) bounds the per-replica pool — a dry pool holds
 // requests back or sheds them under QueuePolicy instead of deadlocking;
-// .prefix_cache(false) keeps paging but disables cross-request sharing.)
+// .prefix_cache(false) keeps the paged knobs but disables cross-request
+// sharing.)
 //
 // The pre-Session entry points (Trainer, AsyncTrainer, SequentialEngine and
 // their config structs) remain available below as compatibility shims; the
@@ -159,6 +161,11 @@
 //   * Receives: a pipeline interpreter receives only through
 //     runtime::RecvAhead (runtime/recv_ahead.hpp), which owns the tags,
 //     the prefetch window and the posted-receive ring.
+//   * KV cache: K/V rows live only in runtime::KvStore
+//     (runtime/kv_store.hpp). Layers reach it through the one
+//     Layer::set_kv_store hook and read the cache one page run at a time
+//     (KvStore::run) in place; never keep a second K/V copy, slab or
+//     gathered panel in a layer or worker.
 //   * Sanitizers: CI runs the full suite under TSan and ASan+UBSan with no
 //     suppression files. A race or lifetime bug anywhere in the threaded
 //     stack fails the build; do not add suppressions, fix the bug.
@@ -172,8 +179,9 @@
 //     ArenaScope in the worker loops; Tensor and ScratchBuffer
 //     constructors consult it automatically) — never bare `new`, a
 //     std::vector::resize, or a std::make_unique on a hot path. State
-//     that must outlive the pass (KV growth, optimizer slots) allocates
-//     under tensor::ArenaPause. Diagnose stray allocations with
+//     that must outlive the pass (optimizer slots) allocates under
+//     tensor::ArenaPause; KV pages come from the store's preallocated
+//     pool. Diagnose stray allocations with
 //     tensor::alloc_stats_trace(true).
 
 #include "api/inference.hpp"

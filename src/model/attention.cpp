@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "runtime/kv_store.hpp"
 #include "tensor/arena.hpp"
-#include "tensor/half.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
@@ -182,171 +181,67 @@ Tensor MultiHeadAttention::backward(const Tensor& dy, int mb) {
 
 Tensor MultiHeadAttention::forward_infer(const Tensor& x, int64_t pos0,
                                          int slot) {
-  const int64_t b = x.size(0), t = x.size(1);
-  Tensor qkv = qkv_proj_.forward_infer(x, pos0, slot);  // [b, t, 3h]
-
-  const int64_t row = b * hidden_;  // b * heads * dk
-  const int64_t h3 = 3 * hidden_;
-  const int64_t total = pos0 + t;
-  const float* kcache = nullptr;
-  const float* vcache = nullptr;
-  Tensor kf, vf;  // fp16 contiguous mode: per-call fp32 panels
-
-  if (store_ != nullptr) {
-    // Paged mode: append rows into pooled pages, then gather the whole
-    // prefix back into contiguous member panels. The copies are
-    // bitwise-exact (memcpy, or the contiguous path's own
-    // quantise-once/dequantise pair), so the kernels below see the exact
-    // panels the contiguous path would build.
-    if (b != 1) {
-      throw std::invalid_argument(name_ +
-                                  ": paged KV requires batch-1 streams");
-    }
-    const int64_t cached = store_->lane_len(lane_, slot);
-    if (pos0 != cached) {
-      throw std::logic_error(name_ + ": decode out of order (pos0 " +
-                             std::to_string(pos0) + ", cached " +
-                             std::to_string(cached) + ")");
-    }
-    for (int64_t j = 0; j < t; ++j) {
-      const float* src = qkv.data() + j * h3;
-      store_->append(lane_, slot, src + hidden_, src + 2 * hidden_);
-    }
-    const size_t need = static_cast<size_t>(total * row);
-    if (gk_.capacity() < need) {
-      // First touch jumps straight to the configured stream capacity
-      // (set_kv_capacity), so decode never grows these panels mid-stream;
-      // without the hint, geometric growth still reaches steady state.
-      const size_t floor = static_cast<size_t>(
-          (kv_capacity_ > 0 ? kv_capacity_ : 16) * row);
-      const size_t newcap = std::max({need, 2 * gk_.capacity(), floor});
-      gk_.reserve(newcap);
-      gv_.reserve(newcap);
-    }
-    gk_.resize(need);
-    gv_.resize(need);
-    store_->gather(lane_, slot, total, gk_.data(), gv_.data());
-    kcache = gk_.data();
-    vcache = gv_.data();
-  } else {
-  KvSlot& kv = kv_[slot];
-  if (kv.len == 0) kv.batch = b;
-  if (kv.batch != b) {
-    throw std::invalid_argument(name_ + ": slot batch changed mid-stream");
+  if (store_ == nullptr) {
+    throw std::logic_error(name_ + ": decode without a KV store");
   }
-  if (pos0 != kv.len) {
+  if (x.size(0) != 1) {
+    throw std::invalid_argument(name_ + ": decode streams are batch-1");
+  }
+  const int64_t t = x.size(1);
+  const int64_t cached = store_->lane_len(lane_, slot);
+  if (pos0 != cached) {
     throw std::logic_error(name_ + ": decode out of order (pos0 " +
                            std::to_string(pos0) + ", cached " +
-                           std::to_string(kv.len) + ")");
+                           std::to_string(cached) + ")");
+  }
+  Tensor qkv = qkv_proj_.forward_infer(x, pos0, slot);  // [1, t, 3h]
+  const int64_t h3 = 3 * hidden_;
+  for (int64_t j = 0; j < t; ++j) {
+    const float* src = qkv.data() + j * h3;
+    store_->append(lane_, slot, src + hidden_, src + 2 * hidden_);
   }
 
-  // Append this call's K/V rows (time-major: one contiguous row per token).
-  if (kv_fp16_) {
-    // Half-precision storage: same [len, row] layout, binary16 words. Rows
-    // quantize on append — once per token, whichever call produced it — so
-    // incremental decode and full-prefix recompute still see identical
-    // cached bits.
-    const size_t need = static_cast<size_t>(total * row);
-    if (kv.k16.capacity() < need) {
-      // Fresh slots reserve the whole configured stream capacity up
-      // front (a per-request cost), so no decode pass reallocates.
-      const size_t floor = static_cast<size_t>(
-          (kv_capacity_ > 0 ? kv_capacity_ : 16) * row);
-      const size_t newcap = std::max({need, 2 * kv.k16.capacity(), floor});
-      kv.k16.reserve(newcap);
-      kv.v16.reserve(newcap);
-    }
-    kv.k16.resize(need);
-    kv.v16.resize(need);
-    for (int64_t j = 0; j < t; ++j) {
-      for (int64_t n = 0; n < b; ++n) {
-        const float* src = qkv.data() + (n * t + j) * h3;
-        uint16_t* kdst = kv.k16.data() + (kv.len + j) * row + n * hidden_;
-        uint16_t* vdst = kv.v16.data() + (kv.len + j) * row + n * hidden_;
-        for (int64_t i = 0; i < hidden_; ++i) {
-          kdst[i] = float_to_half(src[hidden_ + i]);
-          vdst[i] = float_to_half(src[2 * hidden_ + i]);
-        }
-      }
-    }
-  } else {
-    if (kv.k.numel() < total * row) {
-      // KV panels outlive the pass, so they must not come from the pass
-      // arena; fresh slots also jump straight to the configured stream
-      // capacity so steady-state decode never re-allocates them.
-      tensor::ArenaPause heap_kv;
-      const int64_t cap = kv.k.numel() / std::max<int64_t>(row, 1);
-      const int64_t newcap = std::max<int64_t>(
-          {total, 2 * cap, kv_capacity_ > 0 ? kv_capacity_ : 16});
-      Tensor nk({newcap, row}), nv({newcap, row});
-      if (kv.len > 0) {
-        std::memcpy(nk.data(), kv.k.data(),
-                    static_cast<size_t>(kv.len * row) * sizeof(float));
-        std::memcpy(nv.data(), kv.v.data(),
-                    static_cast<size_t>(kv.len * row) * sizeof(float));
-      }
-      kv.k = std::move(nk);
-      kv.v = std::move(nv);
-    }
-    for (int64_t j = 0; j < t; ++j) {
-      for (int64_t n = 0; n < b; ++n) {
-        const float* src = qkv.data() + (n * t + j) * h3;
-        float* kdst = kv.k.data() + (kv.len + j) * row + n * hidden_;
-        float* vdst = kv.v.data() + (kv.len + j) * row + n * hidden_;
-        std::memcpy(kdst, src + hidden_,
-                    static_cast<size_t>(hidden_) * sizeof(float));
-        std::memcpy(vdst, src + 2 * hidden_,
-                    static_cast<size_t>(hidden_) * sizeof(float));
-      }
-    }
-  }
-  kv.len = total;
-
-  // fp16 storage: materialise fp32 panels for the kernels, one conversion
-  // pass per decode call (the resident cache stays half precision).
-  if (kv_fp16_) {
-    kf = Tensor({total, row});
-    vf = Tensor({total, row});
-    float* kp = kf.data();
-    float* vp = vf.data();
-    for (int64_t i = 0; i < total * row; ++i) {
-      kp[i] = half_to_float(kv.k16[static_cast<size_t>(i)]);
-      vp[i] = half_to_float(kv.v16[static_cast<size_t>(i)]);
-    }
-    kcache = kf.data();
-    vcache = vf.data();
-  } else {
-    kcache = kv.k.data();
-    vcache = kv.v.data();
-  }
-  }
-
-  // Attend each new token over the cached prefix. Extents are per *row*
-  // (jext = absolute position + 1), so every row's value is identical
-  // whether the prefix arrived in one prefill call or token by token.
-  Tensor probs({b * heads_, t, total});
-  Tensor ctx({b, t, hidden_});
+  // Attend each new token over the cached prefix, page run by page run.
+  // Extents are per *row* (jmax = absolute position + 1), so every row's
+  // value is identical whether the prefix arrived in one prefill call or
+  // token by token.
+  using Panel = runtime::KvStore::Panel;
+  const int64_t total = pos0 + t;
+  const int64_t pg = store_->page_tokens();
+  const int64_t pages = (total + pg - 1) / pg;
+  Tensor probs({heads_, t, total});
+  Tensor ctx({1, t, hidden_});
   const float scale = 1.0f / std::sqrt(static_cast<float>(dk_));
   const float* qkvp = qkv.data();
   float* probsp = probs.data();
   float* ctxp = ctx.data();
+  float* scratch = run_scratch_.data();
+  const runtime::KvStore& store = *store_;
+  const int lane = lane_;
   const bool causal = causal_;
-  const int64_t heads = heads_, dk = dk_, hidden = hidden_;
+  const int64_t dk = dk_, hidden = hidden_;
+  const auto visible = [&](int64_t r) { return causal ? pos0 + r + 1 : total; };
 
-  parallel_for(b * heads, 1, [&](int64_t p0, int64_t p1) {
-    for (int64_t p = p0; p < p1; ++p) {
-      const int64_t n = p / heads, hh = p % heads;
-      const float* q = qkvp + n * t * h3 + hh * dk;
-      const float* kc = kcache + (n * heads + hh) * dk;
-      const float* vc = vcache + (n * heads + hh) * dk;
-      float* prob = probsp + p * t * total;
+  parallel_for(heads_, 1, [&](int64_t h0, int64_t h1) {
+    for (int64_t hh = h0; hh < h1; ++hh) {
+      const float* q = qkvp + hh * dk;
+      float* prob = probsp + hh * t * total;
+      // scores = q_r K^T, one gemm_bt per run at the run's column offset
+      for (int64_t page = 0; page < pages; ++page) {
+        const int64_t j0 = page * pg, rows = std::min(pg, total - j0);
+        const float* kc = store.run(lane, slot, page, Panel::K, rows,
+                                    hh * dk, dk, scratch) + hh * dk;
+        for (int64_t r = 0; r < t; ++r) {
+          const int64_t n = std::min(rows, visible(r) - j0);
+          if (n <= 0) continue;
+          kernels::gemm_bt(1, n, dk, q + r * h3, h3, kc, hidden,
+                           prob + r * total + j0, total, false);
+        }
+      }
+      // scale + row softmax — the same arithmetic as the training forward
       for (int64_t r = 0; r < t; ++r) {
-        const int64_t jmax = causal ? pos0 + r + 1 : total;
+        const int64_t jmax = visible(r);
         float* prow = prob + r * total;
-        // scores = q_r K^T over the visible prefix (strided cache panel)
-        kernels::gemm_bt(1, jmax, dk, q + r * h3, h3, kc, row, prow, total,
-                         false);
-        // scale + row softmax — the same arithmetic as the training forward
         float mx = -1e30f;
         for (int64_t j = 0; j < jmax; ++j) {
           prow[j] *= scale;
@@ -359,9 +254,18 @@ Tensor MultiHeadAttention::forward_infer(const Tensor& x, int64_t pos0,
         }
         const float inv = static_cast<float>(1.0 / denom);
         for (int64_t j = 0; j < jmax; ++j) prow[j] *= inv;
-        // context = probs @ V over the visible prefix
-        kernels::gemm(1, dk, jmax, prow, total, vc, row,
-                      ctxp + (n * t + r) * hidden + hh * dk, hidden, false);
+      }
+      // context = probs @ V, accumulated run by run in ascending-k order
+      for (int64_t page = 0; page < pages; ++page) {
+        const int64_t j0 = page * pg, rows = std::min(pg, total - j0);
+        const float* vc = store.run(lane, slot, page, Panel::V, rows,
+                                    hh * dk, dk, scratch) + hh * dk;
+        for (int64_t r = 0; r < t; ++r) {
+          const int64_t n = std::min(rows, visible(r) - j0);
+          if (n <= 0) continue;
+          kernels::gemm(1, dk, n, prob + r * total + j0, total, vc, hidden,
+                        ctxp + r * hidden + hh * dk, hidden, j0 > 0);
+        }
       }
     }
   });
@@ -369,35 +273,17 @@ Tensor MultiHeadAttention::forward_infer(const Tensor& x, int64_t pos0,
   return out_proj_.forward_infer(ctx, pos0, slot);
 }
 
-int64_t MultiHeadAttention::slot_bytes() const {
-  int64_t bytes = 0;
-  for (const auto& [s, kv] : kv_) {
-    bytes += kv.k.bytes() + kv.v.bytes();
-    bytes += static_cast<int64_t>((kv.k16.size() + kv.v16.size()) *
-                                  sizeof(uint16_t));
-  }
-  return bytes;
-}
-
-void MultiHeadAttention::set_kv_fp16(bool on) {
-  if (on != kv_fp16_ && !kv_.empty()) {
-    throw std::logic_error(name_ +
-                           ": set_kv_fp16 while decode streams are in flight");
-  }
-  kv_fp16_ = on;
-}
-
-void MultiHeadAttention::set_kv_capacity(int64_t tokens) {
-  kv_capacity_ = tokens;
-}
-
 void MultiHeadAttention::set_kv_store(runtime::KvStore* store) {
-  if (!kv_.empty()) {
-    throw std::logic_error(
-        name_ + ": set_kv_store while decode streams are in flight");
+  if (store != nullptr && store->row_elems() != hidden_) {
+    throw std::invalid_argument(name_ + ": KV store rows must be hidden-wide");
   }
   store_ = store;
   lane_ = store != nullptr ? store->register_lane() : -1;
+  run_scratch_.assign(
+      store != nullptr && store->fp16()
+          ? static_cast<size_t>(store->page_tokens() * hidden_)
+          : 0,
+      0.0f);
 }
 
 void MultiHeadAttention::collect_params(std::vector<Param*>& out) {

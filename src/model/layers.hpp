@@ -18,8 +18,8 @@
 #include "tensor/tensor.hpp"
 
 namespace hanayo::runtime {
-class KvStore;  // paged KV storage (runtime/kv_store.hpp); layers hold a
-                // non-owning pointer wired by the serving runtime
+class KvStore;  // K/V storage (runtime/kv_store.hpp); layers hold a
+                // non-owning pointer wired by StageModule
 }  // namespace hanayo::runtime
 
 namespace hanayo::model {
@@ -61,30 +61,13 @@ class Layer {
   /// ascending-k kernels make KV-cache decode match full-prefix recompute.
   virtual Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) = 0;
 
-  /// Frees any per-stream inference state held for `slot` (KV caches).
-  virtual void drop_slot(int slot) { (void)slot; }
-
-  /// Bytes of per-stream inference state (KV caches) currently held.
-  virtual int64_t slot_bytes() const { return 0; }
-
-  /// Store per-stream inference state (KV caches) in half precision:
-  /// halves slot_bytes at the cost of fp16 rounding on the cached panels.
-  /// Stateless layers ignore it. Must be set before any slot is populated.
-  virtual void set_kv_fp16(bool on) { (void)on; }
-
-  /// Attach a paged KV store: stateful layers register a lane and keep
-  /// their per-stream K/V rows in pooled pages (prefix sharing, COW)
-  /// instead of contiguous per-slot slabs. nullptr restores the contiguous
-  /// path. Stateless layers ignore it. Must be set before any slot is
-  /// populated.
+  /// The one KV hook: attach the store that holds every decode stream's
+  /// K/V rows (runtime::KvStore — the only place they live). Stateful
+  /// layers (attention) register one lane in it; stateless layers ignore
+  /// it. StageModule wires it before the first decode — its own store, or
+  /// the serving runtime's — and owns every other KV operation (slot
+  /// drop, byte accounting, fp16 format).
   virtual void set_kv_store(runtime::KvStore* store) { (void)store; }
-
-  /// Worst-case tokens per decode stream. Stateful layers pre-reserve
-  /// their per-stream KV storage (and shared gather panels) to this
-  /// capacity so steady-state decode performs zero heap allocations; the
-  /// serving runtime wires the model's max sequence length through here.
-  /// Stateless layers ignore it. 0 = grow geometrically on demand.
-  virtual void set_kv_capacity(int64_t tokens) { (void)tokens; }
 
   /// Appends pointers to this layer's parameters (stable across calls).
   virtual void collect_params(std::vector<Param*>& out) = 0;

@@ -41,13 +41,13 @@ class Optimizer {
   /// Exports the state for `params` as name-addressed tensors (snapshot
   /// copies): "opt.<algo>.<slot>.<param name>" plus scalar bookkeeping like
   /// "opt.adamw.t". Params without state yet (never stepped) are omitted.
-  /// Not supported for shard-sized state (ZeRO-1) — use a fresh optimizer
+  /// Not supported for shard-sized state (ZeRO-1) — use a new optimizer
   /// after a ZeRO restore instead.
   virtual std::vector<std::pair<std::string, tensor::Tensor>> state_snapshot(
       const std::vector<Param*>& params) const = 0;
 
   /// Restores state written by `state_snapshot`. Entries missing from
-  /// `state` leave the slot uninitialised (fresh-start semantics); shape
+  /// `state` leave the slot uninitialised (cold-start semantics); shape
   /// mismatches throw.
   virtual void load_state(
       const std::vector<Param*>& params,

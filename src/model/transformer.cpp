@@ -1,7 +1,9 @@
 #include "model/transformer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "runtime/kv_store.hpp"
 #include "tensor/ops.hpp"
 
 namespace hanayo::model {
@@ -401,6 +403,11 @@ std::unique_ptr<Layer> build_layer(const LayerDesc& d, uint64_t base_seed,
 
 // ------------------------------------------------------------ StageModule
 
+StageModule::StageModule() = default;
+StageModule::~StageModule() = default;
+StageModule::StageModule(StageModule&&) noexcept = default;
+StageModule& StageModule::operator=(StageModule&&) noexcept = default;
+
 StageModule::StageModule(const std::vector<LayerDesc>& descs, int begin,
                          int end, uint64_t base_seed, float init_std)
     : begin_(begin), end_(end) {
@@ -408,7 +415,14 @@ StageModule::StageModule(const std::vector<LayerDesc>& descs, int begin,
     throw std::invalid_argument("StageModule: bad layer range");
   }
   for (int i = begin; i < end; ++i) {
-    layers_.push_back(build_layer(descs[static_cast<size_t>(i)], base_seed, init_std));
+    const LayerDesc& d = descs[static_cast<size_t>(i)];
+    layers_.push_back(build_layer(d, base_seed, init_std));
+    if (d.type == LayerDesc::Type::Block ||
+        d.type == LayerDesc::Type::AttnHalf) {
+      ++kv_lanes_;
+      kv_hidden_ = d.hidden;
+    }
+    kv_seq_ = std::max(kv_seq_, d.seq);
   }
 }
 
@@ -442,31 +456,52 @@ Tensor StageModule::backward(const Tensor& dy, int mb) {
 }
 
 Tensor StageModule::decode(const Tensor& x, int64_t pos0, int slot) {
+  if (kv_lanes_ > 0 && kv_ == nullptr) {
+    // Own store: every slot of the table can hold a full-context stream.
+    runtime::KvStoreConfig kc;
+    const int64_t pages =
+        (std::max<int64_t>(kv_seq_, 1) + kc.page_tokens - 1) / kc.page_tokens;
+    kc.pool_pages = kBareSlots * pages * kv_lanes_;
+    kc.row_elems = kv_hidden_;
+    kc.max_slots = kBareSlots;
+    kc.fp16 = kv_fp16_;
+    kc.prefix_cache = false;
+    own_kv_ = std::make_unique<runtime::KvStore>(kc);
+    kv_ = own_kv_.get();
+    for (auto& l : layers_) l->set_kv_store(kv_);
+  }
+  if (own_kv_ != nullptr && pos0 == 0 && !own_kv_->slot_open(slot)) {
+    if (!own_kv_->open_slot(slot, {}, kv_seq_, nullptr)) {
+      throw std::logic_error("StageModule: own KV pool exhausted");
+    }
+  }
   Tensor h = x;
   for (auto& l : layers_) h = l->forward_infer(h, pos0, slot);
   return h;
 }
 
 void StageModule::drop_slot(int slot) {
-  for (auto& l : layers_) l->drop_slot(slot);
+  if (kv_ != nullptr) kv_->drop_slot(slot);
 }
 
 int64_t StageModule::slot_bytes() const {
-  int64_t b = 0;
-  for (const auto& l : layers_) b += l->slot_bytes();
-  return b;
+  return kv_ != nullptr ? kv_->slot_ref_bytes() : 0;
 }
 
 void StageModule::set_kv_fp16(bool on) {
-  for (auto& l : layers_) l->set_kv_fp16(on);
+  if (on == kv_fp16_) return;
+  if (own_kv_ != nullptr) set_kv_store(nullptr);  // rebuilt at next decode
+  kv_fp16_ = on;
 }
 
 void StageModule::set_kv_store(runtime::KvStore* store) {
+  if (own_kv_ != nullptr && own_kv_->slot_ref_pages() > 0) {
+    throw std::logic_error(
+        "StageModule: KV store changed while decode streams are in flight");
+  }
+  own_kv_.reset();
+  kv_ = store;
   for (auto& l : layers_) l->set_kv_store(store);
-}
-
-void StageModule::set_kv_capacity(int64_t tokens) {
-  for (auto& l : layers_) l->set_kv_capacity(tokens);
 }
 
 std::vector<Param*> StageModule::params() {

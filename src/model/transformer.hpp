@@ -96,13 +96,7 @@ class Block : public Layer {
   Tensor forward(const Tensor& x, int mb) override;
   Tensor backward(const Tensor& dy, int mb) override;
   Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
-  void drop_slot(int slot) override { attn_.drop_slot(slot); }
-  int64_t slot_bytes() const override { return attn_.slot_bytes(); }
-  void set_kv_fp16(bool on) override { attn_.set_kv_fp16(on); }
   void set_kv_store(runtime::KvStore* s) override { attn_.set_kv_store(s); }
-  void set_kv_capacity(int64_t tokens) override {
-    attn_.set_kv_capacity(tokens);
-  }
   void collect_params(std::vector<Param*>& out) override;
   void drop_cache(int mb) override;
   std::string name() const override { return name_; }
@@ -126,13 +120,7 @@ class AttnResidual : public Layer {
   Tensor forward(const Tensor& x, int mb) override;
   Tensor backward(const Tensor& dy, int mb) override;
   Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
-  void drop_slot(int slot) override { attn_.drop_slot(slot); }
-  int64_t slot_bytes() const override { return attn_.slot_bytes(); }
-  void set_kv_fp16(bool on) override { attn_.set_kv_fp16(on); }
   void set_kv_store(runtime::KvStore* s) override { attn_.set_kv_store(s); }
-  void set_kv_capacity(int64_t tokens) override {
-    attn_.set_kv_capacity(tokens);
-  }
   void collect_params(std::vector<Param*>& out) override;
   void drop_cache(int mb) override;
   std::string name() const override { return name_; }
@@ -176,41 +164,52 @@ std::unique_ptr<Layer> build_layer(const LayerDesc& d, uint64_t base_seed,
 /// module rank.
 class StageModule {
  public:
-  StageModule() = default;
+  StageModule();
   StageModule(const std::vector<LayerDesc>& descs, int begin, int end,
               uint64_t base_seed, float init_std);
+  ~StageModule();
+  StageModule(StageModule&&) noexcept;
+  StageModule& operator=(StageModule&&) noexcept;
 
   Tensor forward(const Tensor& x, int mb);
   Tensor backward(const Tensor& dy, int mb);
 
   /// Incremental-decode forward through this stage's layers: nothing is
-  /// saved for backward, attention layers extend their per-`slot` KV cache,
-  /// and positional state is read at absolute offset `pos0`. For causal
-  /// models the last row of the result is bit-identical to a full-prefix
-  /// recompute (see Layer::forward_infer).
+  /// saved for backward, attention layers extend their per-`slot` K/V rows
+  /// in the KV store, and positional state is read at absolute offset
+  /// `pos0`. For causal models the last row of the result is bit-identical
+  /// to a full-prefix recompute (see Layer::forward_infer). Streams are
+  /// batch-1.
+  ///
+  /// A module with no attached store builds its own at the first decode:
+  /// 16-token pages, no prefix cache, fp16 per set_kv_fp16, slots
+  /// [0, kBareSlots). A closed slot opens implicitly when decode arrives
+  /// at pos0 == 0; a slot outside the table throws std::invalid_argument.
   Tensor decode(const Tensor& x, int64_t pos0, int slot);
 
-  /// Frees the KV caches of one decode stream (called when a served
-  /// sequence completes and its slot is recycled).
+  /// Slot table of the module's own store (see decode).
+  static constexpr int kBareSlots = 8;
+
+  /// Frees one decode stream's K/V rows in the module's store (called
+  /// when a sequence completes and its slot is recycled).
   void drop_slot(int slot);
 
-  /// Bytes of KV-cache state currently held across all decode streams —
-  /// the serving analogue of `cached_bytes`.
+  /// Bytes of the store's pages that open decode streams reference — the
+  /// serving analogue of `cached_bytes`; 0 once every slot is dropped.
+  /// Page-rounded: a stream holds whole pages.
   int64_t slot_bytes() const;
 
-  /// Half-precision KV-cache storage for every attention layer in this
-  /// stage (InferConfig::kv_fp16). Set before the first decode call.
+  /// Half-precision K/V pages for the module's own store
+  /// (InferConfig::kv_fp16). Throws std::logic_error while its decode
+  /// streams are in flight; an attached store keeps its own format.
   void set_kv_fp16(bool on);
 
-  /// Attaches a paged KV store to every attention layer in this stage
-  /// (InferConfig::paged_kv): each layer registers one lane. Set before
-  /// the first decode call, in deterministic worker construction order.
+  /// Attaches `store` (nullptr detaches) as the store every attention layer
+  /// of this stage decodes through: each registers one lane. The serving
+  /// runtime calls it once per chunk, in deterministic worker construction
+  /// order, and opens/drops slots on the store itself. Throws
+  /// std::logic_error while the module's own store has streams in flight.
   void set_kv_store(runtime::KvStore* store);
-
-  /// Pre-reserves every attention layer's per-stream KV storage for
-  /// `tokens` rows (the model's max sequence length), so steady-state
-  /// decode never grows KV mid-pass.
-  void set_kv_capacity(int64_t tokens);
 
   /// Activation recomputation (gradient checkpointing, Chen et al. 2016 —
   /// one of the orthogonal memory techniques the paper's related work
@@ -233,6 +232,14 @@ class StageModule {
   bool recompute_ = false;
   std::vector<std::unique_ptr<Layer>> layers_;
   std::unordered_map<int, Tensor> saved_inputs_;
+  /// KV wiring: the store decode runs against (attached, or own_kv_), the
+  /// module's own store once built, and what building one needs.
+  runtime::KvStore* kv_ = nullptr;
+  std::unique_ptr<runtime::KvStore> own_kv_;
+  bool kv_fp16_ = false;
+  int kv_lanes_ = 0;       ///< attention layers in this stage
+  int64_t kv_hidden_ = 0;  ///< their row width
+  int64_t kv_seq_ = 0;     ///< positions a stream of the own store may hold
 };
 
 }  // namespace hanayo::model

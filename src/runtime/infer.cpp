@@ -79,6 +79,25 @@ int64_t derived_pool_pages(const InferConfig& cfg) {
          worst_case_stream_pages(cfg);
 }
 
+// The replica's one KV store. paged_kv only switches on the prefix cache
+// and the pool/page knobs: without it every stream keeps private pages of
+// the default size in a pool derived from max_batch.
+static KvStoreConfig kv_store_config(InferConfig cfg) {
+  if (!cfg.paged_kv) {
+    cfg.prefix_cache = false;
+    cfg.kv_pool_pages = 0;
+    cfg.kv_page_tokens = InferConfig{}.kv_page_tokens;
+  }
+  KvStoreConfig kc;
+  kc.page_tokens = cfg.kv_page_tokens;
+  kc.pool_pages = derived_pool_pages(cfg);
+  kc.row_elems = cfg.model.hidden;
+  kc.max_slots = cfg.max_batch;
+  kc.fp16 = cfg.kv_fp16;
+  kc.prefix_cache = cfg.prefix_cache;
+  return kc;
+}
+
 int derived_queue_cap(const InferConfig& cfg) {
   int streams = std::max(1, cfg.max_batch);
   if (cfg.paged_kv) {
@@ -474,8 +493,10 @@ static int64_t derived_arena_bytes(const InferConfig& cfg) {
 /// receives stops growing after the first pass.
 class InferWorker {
  public:
+  /// Every attention layer of this worker's chunks registers one lane in
+  /// the replica's `kv` store, in chunk order.
   InferWorker(const InferConfig& cfg, const schedule::Placement& pl, int rank,
-              comm::Communicator comm)
+              comm::Communicator comm, KvStore* kv)
       : rank_(rank), sampling_(cfg.sampling), comm_(std::move(comm)),
         recv_(cfg.prefetch_depth),
         arena_(derived_arena_bytes(cfg)) {
@@ -487,12 +508,7 @@ class InferWorker {
           ranges[static_cast<size_t>(pl.stage_of(rank, c))];
       chunks_.emplace_back(descs, r.begin, r.end, cfg.seed,
                            cfg.model.init_std);
-      if (cfg.kv_fp16) chunks_.back().set_kv_fp16(true);
-      // Pre-reserve every stream's KV storage to the model's positional
-      // capacity: decode never grows KV mid-pass (the growth would be a
-      // per-pass heap allocation — and under an active arena, a lifetime
-      // bug).
-      chunks_.back().set_kv_capacity(cfg.model.seq);
+      chunks_.back().set_kv_store(kv);
     }
   }
 
@@ -516,11 +532,6 @@ class InferWorker {
                   static_cast<size_t>(pos + 1)];
     };
     next_tokens_.assign(plan.size(), -1);
-    for (const PassEntry& e : plan) {
-      if (e.fresh) {
-        for (model::StageModule& c : chunks_) c.drop_slot(e.slot);
-      }
-    }
 
     recv_.start(script, comm_, /*peer_base=*/0);
 
@@ -577,23 +588,6 @@ class InferWorker {
 
   const std::vector<int64_t>& next_tokens() const { return next_tokens_; }
 
-  /// Attaches the replica's paged store to every attention layer this
-  /// worker owns (each registers one lane). Called once at construction
-  /// time, before any decode stream exists.
-  void set_kv_store(KvStore* store) {
-    for (model::StageModule& c : chunks_) c.set_kv_store(store);
-  }
-
-  void drop_slot(int slot) {
-    for (model::StageModule& c : chunks_) c.drop_slot(slot);
-  }
-
-  int64_t kv_bytes() const {
-    int64_t b = 0;
-    for (const model::StageModule& c : chunks_) b += c.slot_bytes();
-    return b;
-  }
-
  private:
   int rank_;
   Sampling sampling_;
@@ -648,20 +642,11 @@ InferencePipeline::InferencePipeline(InferConfig cfg, RequestQueue* shared,
 
   const int P = cfg_.sched.P;
   world_ = std::make_unique<comm::World>(P);
+  store_ = std::make_unique<KvStore>(kv_store_config(cfg_));
   for (int d = 0; d < P; ++d) {
     workers_.push_back(std::make_unique<InferWorker>(
-        cfg_, placement_, d, comm::Communicator(world_.get(), d)));
-  }
-  if (cfg_.paged_kv) {
-    KvStoreConfig kc;
-    kc.page_tokens = cfg_.kv_page_tokens;
-    kc.pool_pages = derived_pool_pages(cfg_);
-    kc.row_elems = cfg_.model.hidden;
-    kc.max_slots = cfg_.max_batch;
-    kc.fp16 = cfg_.kv_fp16;
-    kc.prefix_cache = cfg_.prefix_cache;
-    store_ = std::make_unique<KvStore>(kc);
-    for (auto& w : workers_) w->set_kv_store(store_.get());
+        cfg_, placement_, d, comm::Communicator(world_.get(), d),
+        store_.get()));
   }
   for (int s = cfg_.max_batch - 1; s >= 0; --s) free_slots_.push_back(s);
   active_.reserve(static_cast<size_t>(cfg_.max_batch));
@@ -687,19 +672,14 @@ const schedule::Schedule& InferencePipeline::schedule_for(int batch) {
 }
 
 int64_t InferencePipeline::slot_bytes() const {
-  if (store_ != nullptr) return store_->slot_ref_bytes();
-  int64_t b = 0;
-  for (const auto& w : workers_) b += w->kv_bytes();
-  return b;
+  return store_->slot_ref_bytes();
 }
 
 int64_t InferencePipeline::pages_in_use() const {
-  return store_ != nullptr ? store_->pages_in_use() : 0;
+  return store_->pages_in_use();
 }
 
-void InferencePipeline::clear_prefix_cache() {
-  if (store_ != nullptr) store_->clear_prefix_cache();
-}
+void InferencePipeline::clear_prefix_cache() { store_->clear_prefix_cache(); }
 
 void InferencePipeline::finish_unserved(const InferRequest& r,
                                         StopReason why) {
@@ -736,41 +716,39 @@ void InferencePipeline::admit() {
     }
     ActiveSeq seq;
     seq.slot = free_slots_.back();
-    if (store_ != nullptr) {
-      // Paged admission: price the request in pages it can actually need
-      // (worst-case growth minus cached prefix pages), not a worst-case
-      // contiguous slot. open_slot reserves that budget atomically, so an
-      // admitted stream can never hit pool exhaustion mid-decode.
-      const int64_t t = r.prompt.size(1);
-      seq.prompt_ids.resize(static_cast<size_t>(t));
-      const float* p = r.prompt.data();
-      for (int64_t j = 0; j < t; ++j) {
-        seq.prompt_ids[static_cast<size_t>(j)] = static_cast<int64_t>(p[j]);
-      }
-      const int64_t final_len = t + r.max_new_tokens - 1;
-      int64_t shared = 0;
-      bool ok = store_->open_slot(seq.slot, seq.prompt_ids, final_len, &shared);
-      if (!ok) {
-        // Preempt the reclaimable part of the prefix cache and retry: the
-        // first attempt maximises sharing, this one maximises free pages.
-        (void)store_->evict_unreferenced();
-        ok = store_->open_slot(seq.slot, seq.prompt_ids, final_len, &shared);
-      }
-      if (!ok) {
-        if (active_.empty()) {
-          // Even a fully drained, evicted pool cannot reserve this
-          // request's worst case — admitting it would wedge the drain, so
-          // refuse it outright (backpressure, like a full bounded queue).
-          finish_unserved(r, StopReason::Rejected);
-          continue;
-        }
-        // Pool dry under load: the request keeps its place in line and
-        // retries once a finishing stream releases its reservation.
-        queue_->push_front(std::move(r));
-        break;
-      }
-      seq.shared_tokens = shared;
+    // Price the request in pages it can actually need (worst-case growth
+    // minus cached prefix pages), not a worst-case slot. open_slot reserves
+    // that budget atomically, so an admitted stream can never hit pool
+    // exhaustion mid-decode.
+    const int64_t t = r.prompt.size(1);
+    seq.prompt_ids.resize(static_cast<size_t>(t));
+    const float* p = r.prompt.data();
+    for (int64_t j = 0; j < t; ++j) {
+      seq.prompt_ids[static_cast<size_t>(j)] = static_cast<int64_t>(p[j]);
     }
+    const int64_t final_len = t + r.max_new_tokens - 1;
+    int64_t shared = 0;
+    bool ok = store_->open_slot(seq.slot, seq.prompt_ids, final_len, &shared);
+    if (!ok) {
+      // Preempt the reclaimable part of the prefix cache and retry: the
+      // first attempt maximises sharing, this one maximises free pages.
+      (void)store_->evict_unreferenced();
+      ok = store_->open_slot(seq.slot, seq.prompt_ids, final_len, &shared);
+    }
+    if (!ok) {
+      if (active_.empty()) {
+        // Even a fully drained, evicted pool cannot reserve this request's
+        // worst case — admitting it would wedge the drain, so refuse it
+        // outright (backpressure, like a full bounded queue).
+        finish_unserved(r, StopReason::Rejected);
+        continue;
+      }
+      // Pool dry under load: the request keeps its place in line and
+      // retries once a finishing stream releases its reservation.
+      queue_->push_front(std::move(r));
+      break;
+    }
+    seq.shared_tokens = shared;
     ++stats_.requests;
     stats_.prompt_tokens += r.prompt.size(1);
     seq.id = r.id;
@@ -802,8 +780,7 @@ void InferencePipeline::finish_active(ActiveSeq& seq, StopReason why,
   c.first_token_s = seq.first_token_s;
   c.finish_s = now_s;
   done_.push_back(std::move(c));
-  for (auto& w : workers_) w->drop_slot(seq.slot);
-  if (store_ != nullptr) store_->drop_slot(seq.slot);
+  store_->drop_slot(seq.slot);
   free_slots_.push_back(seq.slot);
   if (why == StopReason::Cancelled) {
     ++stats_.cancelled;
@@ -870,12 +847,11 @@ void InferencePipeline::run_pass() {
     // and replica assignment cannot shift it.
     if (cfg_.sampling.stochastic()) e.u = seq.rng.uniform();
     if (!seq.prefilled) {
-      if (store_ != nullptr && seq.shared_tokens > 0) {
+      if (seq.shared_tokens > 0) {
         // Prefix hit: the first shared_tokens rows are already in cached
         // pages (bitwise what this prefill would have computed), so the
         // prefill micro-batch carries only the unshared suffix.
         e.pos0 = seq.shared_tokens;
-        e.fresh = false;
         const int64_t rest = seq.prompt_tokens - seq.shared_tokens;
         Tensor tail({1, rest});
         const float* src = seq.input_prompt.data() + seq.shared_tokens;
@@ -883,9 +859,6 @@ void InferencePipeline::run_pass() {
         e.input = std::move(tail);
       } else {
         e.pos0 = 0;
-        // Paged slots are reset by open_slot/drop_slot; fresh would only
-        // clear the (empty) contiguous caches.
-        e.fresh = store_ == nullptr;
         e.input = seq.input_prompt;
       }
       any_prefill = true;
@@ -922,10 +895,7 @@ void InferencePipeline::run_pass() {
   // Sample the KV footprint before completed streams are dropped: the pass
   // that finishes a sequence is exactly when its cache is fullest.
   stats_.peak_kv_bytes = std::max(stats_.peak_kv_bytes, slot_bytes());
-  if (store_ != nullptr) {
-    stats_.kv_pages_peak =
-        std::max(stats_.kv_pages_peak, store_->pages_in_use());
-  }
+  stats_.kv_pages_peak = std::max(stats_.kv_pages_peak, pages_in_use());
 
   const double now = serve_clock_s();
   const std::vector<int64_t>& toks =
@@ -937,14 +907,12 @@ void InferencePipeline::run_pass() {
     if (!seq.prefilled) {
       seq.prefilled = true;
       seq.len = seq.prompt_tokens;
-      if (store_ != nullptr) {
-        // Offer the completed prompt to the prefix tree so later requests
-        // with a common prefix can share its pages (before any potential
-        // drop below, so a one-token completion still seeds the cache).
-        store_->publish(seq.slot, seq.prompt_ids);
-        seq.prompt_ids.clear();
-        seq.prompt_ids.shrink_to_fit();
-      }
+      // Offer the completed prompt to the prefix tree so later requests
+      // with a common prefix can share its pages (before any potential
+      // drop below, so a one-token completion still seeds the cache).
+      store_->publish(seq.slot, seq.prompt_ids);
+      seq.prompt_ids.clear();
+      seq.prompt_ids.shrink_to_fit();
       seq.input_prompt = Tensor();
     } else {
       seq.len += 1;
@@ -982,8 +950,7 @@ void InferencePipeline::run_pass() {
             static_cast<double>(c.tokens.size() - 1));
       }
       done_.push_back(std::move(c));
-      for (auto& w : workers_) w->drop_slot(seq.slot);
-      if (store_ != nullptr) store_->drop_slot(seq.slot);
+      store_->drop_slot(seq.slot);
       free_slots_.push_back(seq.slot);
     } else {
       still_.push_back(std::move(seq));
@@ -1017,11 +984,9 @@ std::vector<Completion> InferencePipeline::drain() {
 
 ServeStats InferencePipeline::stats() const {
   ServeStats out = stats_;
-  if (store_ != nullptr) {
-    out.kv_pages_in_use = store_->pages_in_use();
-    out.prefix_hits = store_->prefix_hits();
-    out.prefix_hit_tokens = store_->prefix_hit_tokens();
-  }
+  out.kv_pages_in_use = store_->pages_in_use();
+  out.prefix_hits = store_->prefix_hits();
+  out.prefix_hit_tokens = store_->prefix_hit_tokens();
   own_queue_.add_enqueue_stats(out);
   return out;
 }

@@ -213,23 +213,24 @@ struct InferConfig {
   /// Emitting any of these ids ends the sequence early (the id itself is
   /// recorded); its KV slot frees at the next pass boundary.
   std::vector<int64_t> stop_tokens;
-  /// Store cached K/V panels as fp16 words (converted back for the
+  /// Store cached K/V pages as fp16 words (dequantised run by run for the
   /// attention kernels): halves every slot's resident bytes; decode logits
   /// move within fp16 rounding of the fp32-cache run.
   bool kv_fp16 = false;
-  /// Paged KV storage (runtime/kv_store.hpp): per-stream K/V rows live in
-  /// fixed-size pooled pages instead of contiguous worst-case slots, so
-  /// admission is priced in pages actually needed and requests sharing a
-  /// prompt prefix share immutable pages (skipping the shared prefill).
-  /// Decode stays bitwise identical to the contiguous path.
+  /// K/V rows always live in one pooled page store per replica
+  /// (runtime/kv_store.hpp), and admission is always priced in pages.
+  /// paged_kv only switches on the knobs below: the prefix cache and the
+  /// pool/page sizes. Off means private pages of the default size in the
+  /// derived pool. Decode is bitwise identical either way.
   bool paged_kv = false;
-  int kv_page_tokens = 16;  ///< token rows per page (per attention layer)
-  /// Total pages in the per-replica pool. 0 derives
-  /// max_batch * ceil((seq)/page_tokens) * lanes — contiguous-equivalent
-  /// capacity, so paging never admits less than the slot design did.
+  int kv_page_tokens = 16;  ///< rows per page per attention layer (paged_kv)
+  /// Total pages in the per-replica pool (paged_kv). 0 derives
+  /// max_batch * ceil(seq / page_tokens) * lanes (+1 copy-on-write spare
+  /// per stream and lane with the prefix cache), so every slot can hold a
+  /// full-context stream.
   int64_t kv_pool_pages = 0;
-  /// Cross-request prefix caching (radix tree + copy-on-write). Off keeps
-  /// paging but makes every stream's pages private.
+  /// Cross-request prefix caching (radix tree + copy-on-write; paged_kv).
+  /// Off keeps every stream's pages private.
   bool prefix_cache = true;
   uint64_t seed = 1;
   int prefetch_depth = 2;  ///< receives posted ahead (RecvAhead); < 0 throws
@@ -261,7 +262,7 @@ struct InferConfig {
 /// max_batch) instead of assuming max_batch worst-case slots.
 int derived_queue_cap(const InferConfig& cfg);
 
-/// Attention lanes the model registers with a paged store: one per
+/// Attention lanes the model registers with a KV store: one per
 /// Block/AttnHalf layer desc.
 int kv_lanes(const model::ModelConfig& model);
 
@@ -288,10 +289,11 @@ struct ServeStats {
   double decode_s = 0.0;
   int64_t peak_kv_bytes = 0;  ///< max over passes, summed across devices
 
-  /// Paged-KV accounting (zero when paging is off). `kv_pages_in_use` is a
-  /// gauge sampled at stats() time; the peak is tracked per pass. Prefix
-  /// hits count admissions that reused cached prompt pages; hit tokens are
-  /// exactly the prefill tokens those admissions skipped.
+  /// KV page accounting. `kv_pages_in_use` is a gauge sampled at stats()
+  /// time; the peak is tracked per pass. Prefix hits count admissions that
+  /// reused cached prompt pages (always zero without paged_kv's prefix
+  /// cache); hit tokens are exactly the prefill tokens those admissions
+  /// skipped.
   int64_t kv_pages_in_use = 0;
   int64_t kv_pages_peak = 0;
   int64_t prefix_hits = 0;
@@ -404,7 +406,7 @@ class RequestQueue {
   /// Adds the enqueue-side submitted/rejected counters to `s`.
   void add_enqueue_stats(ServeStats& s) const;
   /// Returns a popped request to the queue head, preserving FIFO order —
-  /// used by paged admission when the KV pool cannot reserve pages for the
+  /// used by admission when the KV pool cannot reserve pages for the
   /// oldest request yet (it stays first in line; no policy check, the
   /// request was already admitted past it once).
   void push_front(InferRequest r);
@@ -442,7 +444,6 @@ class RequestQueue {
 struct PassEntry {
   int slot = 0;        ///< KV-cache stream
   int64_t pos0 = 0;    ///< absolute position of input's first token
-  bool fresh = false;  ///< first pass of a sequence: reset the slot first
   float u = 0.0f;      ///< this step's uniform draw (stochastic sampling)
   tensor::Tensor input;  ///< [1, t] token ids (prompt, or one decoded token)
 };
@@ -493,17 +494,16 @@ class InferencePipeline {
   ServeStats stats() const;
   const InferConfig& config() const { return cfg_; }
 
-  /// KV-cache bytes currently resident across this replica's workers —
-  /// 0 whenever no sequence is mid-flight (the no-slot-leak invariant).
-  /// Paged mode reports the bytes of pages referenced by live slots (the
-  /// prefix cache's retained pages are excluded — they are reclaimable).
+  /// Bytes of the KV pages live slots reference — 0 whenever no sequence
+  /// is mid-flight (the no-slot-leak invariant). The prefix cache's
+  /// retained pages are excluded: they are reclaimable.
   int64_t slot_bytes() const;
 
   /// Pages currently allocated from this replica's pool (slots + prefix
-  /// cache); 0 when paging is off. After clear_prefix_cache() on a drained
-  /// replica this returns 0 — the paged no-leak invariant.
+  /// cache). After clear_prefix_cache() on a drained replica this returns
+  /// 0 — the no-page-leak invariant.
   int64_t pages_in_use() const;
-  /// Drops every unreferenced prefix-cache page (no-op when paging is off).
+  /// Drops every unreferenced prefix-cache page (none without paged_kv).
   void clear_prefix_cache();
 
   /// The forward-only schedule compiled for `batch` concurrent sequences
@@ -520,8 +520,8 @@ class InferencePipeline {
     bool prefilled = false;
     int64_t last_token = -1;
     tensor::Tensor input_prompt;  ///< pending prompt (dropped after prefill)
-    /// Paged mode: the prompt as token ids (kept until the prefix tree has
-    /// been offered the prompt via KvStore::publish), and how many leading
+    /// The prompt as token ids (kept until the prefix tree has been
+    /// offered the prompt via KvStore::publish), and how many leading
     /// tokens admission found already cached (prefill starts at that
     /// position).
     std::vector<int64_t> prompt_ids;
@@ -556,7 +556,7 @@ class InferencePipeline {
   std::map<int, schedule::Schedule> sched_cache_;
   RequestQueue own_queue_;
   RequestQueue* queue_ = nullptr;  ///< own_queue_, or the server's shared one
-  std::unique_ptr<KvStore> store_;  ///< paged KV pool (null = contiguous)
+  std::unique_ptr<KvStore> store_;  ///< every stream's K/V pages
   std::vector<ActiveSeq> active_;
   std::vector<int> free_slots_;
   std::vector<Completion> done_;
@@ -619,7 +619,7 @@ class InferenceServer {
   /// Resident KV bytes summed over replicas — 0 when fully drained.
   int64_t slot_bytes() const;
 
-  /// Allocated pages summed over replicas (0 when paging is off); see
+  /// Allocated pages summed over replicas; see
   /// InferencePipeline::pages_in_use.
   int64_t pages_in_use() const;
   /// Drops unreferenced prefix-cache pages on every replica.

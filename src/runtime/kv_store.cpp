@@ -4,6 +4,8 @@
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "tensor/half.hpp"
 
@@ -88,16 +90,28 @@ int64_t KvStore::page_bytes() const {
                                                        : sizeof(float));
 }
 
-KvStore::LaneSlot& KvStore::lane_slot(int lane, int slot) {
+void KvStore::check_slot(int slot) const {
+  if (slot < 0 || slot >= cfg_.max_slots) {
+    throw std::invalid_argument("KvStore: slot " + std::to_string(slot) +
+                                " out of range [0, " +
+                                std::to_string(cfg_.max_slots) + ")");
+  }
+}
+
+const KvStore::LaneSlot& KvStore::lane_slot(int lane, int slot) const {
+  if (lane < 0 || lane >= lanes_) {
+    throw std::invalid_argument("KvStore: lane " + std::to_string(lane) +
+                                " out of range [0, " +
+                                std::to_string(lanes_) + ")");
+  }
+  check_slot(slot);
   return lane_slots_[static_cast<size_t>(lane) *
                          static_cast<size_t>(cfg_.max_slots) +
                      static_cast<size_t>(slot)];
 }
 
-const KvStore::LaneSlot& KvStore::lane_slot(int lane, int slot) const {
-  return lane_slots_[static_cast<size_t>(lane) *
-                         static_cast<size_t>(cfg_.max_slots) +
-                     static_cast<size_t>(slot)];
+KvStore::LaneSlot& KvStore::lane_slot(int lane, int slot) {
+  return const_cast<LaneSlot&>(std::as_const(*this).lane_slot(lane, slot));
 }
 
 float* KvStore::k_row32(int32_t page, int row) {
@@ -170,9 +184,7 @@ bool KvStore::open_slot(int slot, const std::vector<int64_t>& ids,
                         int64_t final_len, int64_t* shared_out) {
   std::lock_guard<sync::Mutex<sync::Rank::KvPool>> g(mu_);
   if (lanes_ == 0) throw std::logic_error("KvStore: no lanes registered");
-  if (slot < 0 || slot >= cfg_.max_slots) {
-    throw std::invalid_argument("KvStore: slot out of range");
-  }
+  check_slot(slot);
   SlotInfo& si = slots_[static_cast<size_t>(slot)];
   if (si.open) throw std::logic_error("KvStore: slot already open");
 
@@ -225,6 +237,7 @@ bool KvStore::open_slot(int slot, const std::vector<int64_t>& ids,
 }
 
 void KvStore::publish(int slot, const std::vector<int64_t>& ids) {
+  check_slot(slot);
   if (!cfg_.prefix_cache) return;
   std::lock_guard<sync::Mutex<sync::Rank::KvPool>> g(mu_);
   const int64_t pg = cfg_.page_tokens;
@@ -284,7 +297,14 @@ void KvStore::publish(int slot, const std::vector<int64_t>& ids) {
   }
 }
 
+bool KvStore::slot_open(int slot) const {
+  check_slot(slot);
+  std::lock_guard<sync::Mutex<sync::Rank::KvPool>> g(mu_);
+  return slots_[static_cast<size_t>(slot)].open;
+}
+
 void KvStore::drop_slot(int slot) {
+  check_slot(slot);
   std::lock_guard<sync::Mutex<sync::Rank::KvPool>> g(mu_);
   SlotInfo& si = slots_[static_cast<size_t>(slot)];
   if (!si.open) return;
@@ -357,33 +377,43 @@ void KvStore::append(int lane, int slot, const float* krow,
   ls.len += 1;
 }
 
+const float* KvStore::run(int lane, int slot, int64_t page, Panel which,
+                          int64_t rows, int64_t col0, int64_t cols,
+                          float* scratch) const {
+  const LaneSlot& ls = lane_slot(lane, slot);
+  const int64_t pg = cfg_.page_tokens;
+  if (page < 0 || rows < 1 || rows > pg || page * pg + rows > ls.len) {
+    throw std::logic_error("KvStore: run past cached len");
+  }
+  auto* self = const_cast<KvStore*>(this);
+  const int32_t p = ls.table[static_cast<size_t>(page)];
+  const int first = which == Panel::K ? 0 : cfg_.page_tokens;
+  if (!cfg_.fp16) return self->k_row32(p, first);
+  const uint16_t* src = self->k_row16(p, first);
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t at = r * cfg_.row_elems + col0;
+    for (int64_t i = at; i < at + cols; ++i) {
+      scratch[i] = tensor::half_to_float(src[i]);
+    }
+  }
+  return scratch;
+}
+
 void KvStore::gather(int lane, int slot, int64_t len, float* kout,
                      float* vout) const {
-  const LaneSlot& ls = lane_slot(lane, slot);
-  if (len > ls.len) throw std::logic_error("KvStore: gather past cached len");
-  auto* self = const_cast<KvStore*>(this);
-  const int64_t pg = cfg_.page_tokens;
-  int64_t done = 0;
-  for (size_t pi = 0; done < len; ++pi) {
-    const int32_t page = ls.table[pi];
-    const int64_t rows = std::min<int64_t>(pg, len - done);
-    if (cfg_.fp16) {
-      const uint16_t* ksrc = self->k_row16(page, 0);
-      const uint16_t* vsrc = self->k_row16(page, cfg_.page_tokens);
-      float* kdst = kout + done * cfg_.row_elems;
-      float* vdst = vout + done * cfg_.row_elems;
-      for (int64_t i = 0; i < rows * cfg_.row_elems; ++i) {
-        kdst[i] = tensor::half_to_float(ksrc[i]);
-        vdst[i] = tensor::half_to_float(vsrc[i]);
+  if (len > lane_slot(lane, slot).len) {
+    throw std::logic_error("KvStore: gather past cached len");
+  }
+  const int64_t pg = cfg_.page_tokens, row = cfg_.row_elems;
+  for (int64_t page = 0; page * pg < len; ++page) {
+    const int64_t rows = std::min(pg, len - page * pg);
+    for (const Panel which : {Panel::K, Panel::V}) {
+      float* dst = (which == Panel::K ? kout : vout) + page * pg * row;
+      const float* src = run(lane, slot, page, which, rows, 0, row, dst);
+      if (src != dst) {
+        std::memcpy(dst, src, static_cast<size_t>(rows * row) * sizeof(float));
       }
-    } else {
-      std::memcpy(kout + done * cfg_.row_elems, self->k_row32(page, 0),
-                  static_cast<size_t>(rows * cfg_.row_elems) * sizeof(float));
-      std::memcpy(vout + done * cfg_.row_elems,
-                  self->k_row32(page, cfg_.page_tokens),
-                  static_cast<size_t>(rows * cfg_.row_elems) * sizeof(float));
     }
-    done += rows;
   }
 }
 

@@ -2,22 +2,24 @@
 // Paged KV-cache store: pooled fixed-size pages + cross-request prefix
 // sharing.
 //
-// The seed design gives every decode stream one contiguous worst-case KV
-// region (model/attention.cpp, KvSlot), so max_batch is gated on peak
-// full-context memory and identical prompt heads are re-prefilled per
-// request. This subsystem replaces the slab with fixed-size pages drawn
-// from a pooled free-list allocator (the rt_pool idiom: O(1) alloc/free,
-// zero steady-state heap traffic) and layers a radix-tree prefix index on
-// top so requests with a common prompt prefix share immutable pages:
+// This is the only place K/V rows live: every attention layer keeps its
+// per-stream rows here, whether a serving replica attached the store or a
+// bare model::StageModule built its own. Rows sit in fixed-size pages
+// drawn from a pooled free-list allocator (the rt_pool idiom: O(1)
+// alloc/free, zero steady-state heap traffic), and a radix-tree prefix
+// index on top lets requests with a common prompt prefix share immutable
+// pages:
 //
 //   * A page holds `page_tokens` K rows and `page_tokens` V rows for ONE
 //     attention layer ("lane"), fp32 or fp16 per `kv_fp16` — one uniform
 //     page size per store, so the free list is a plain stack.
 //   * Each (lane, slot) owns a page table: the ordered page ids covering
 //     that stream's cached positions. Attention appends one row per
-//     decoded token and gathers [0, len) back into contiguous panels, so
-//     the decode kernels run unchanged and incremental decode stays
-//     bitwise identical to a full-prefix recompute.
+//     decoded token and reads the cache back one page run at a time
+//     through run() — in place for fp32 pages, dequantised into caller
+//     scratch for fp16 — so no contiguous copy of the prefix is ever
+//     built, and incremental decode stays bitwise identical to a
+//     full-prefix recompute.
 //   * After a prefill, the prompt's pages are published into a radix tree
 //     keyed by token ids (one node = one page). A later request walks the
 //     tree at admission, adopts every matching page (full-page matches and
@@ -34,7 +36,7 @@
 //
 // Threading contract (matches the serving runtime's phase structure): the
 // pipeline thread calls open_slot/publish/drop_slot/evict between passes;
-// worker threads call append/gather for their own lanes during a pass.
+// worker threads call append/run/gather for their own lanes during a pass.
 // Page tables and page payloads are single-writer by construction (a lane
 // belongs to one worker, tree mutations happen only between passes); the
 // shared pool state — free list, refcounts, reservations, counters — is
@@ -56,7 +58,7 @@ namespace hanayo::runtime {
 struct KvStoreConfig {
   int page_tokens = 16;    ///< token rows per page (per lane)
   int64_t pool_pages = 0;  ///< total pages in the pool, shared by all lanes
-  int64_t row_elems = 0;   ///< floats per K (and per V) row: batch * hidden
+  int64_t row_elems = 0;   ///< floats per K (and per V) row: the hidden size
   int max_slots = 0;       ///< decode streams (page-table sets per lane)
   bool fp16 = false;       ///< half-precision page payloads (kv_fp16)
   bool prefix_cache = true;  ///< publish/lookup the radix prefix index
@@ -79,6 +81,8 @@ class KvStore {
 
   int lanes() const { return lanes_; }
   int page_tokens() const { return cfg_.page_tokens; }
+  int64_t row_elems() const { return cfg_.row_elems; }
+  bool fp16() const { return cfg_.fp16; }
   int64_t pool_pages() const { return cfg_.pool_pages; }
   int64_t page_bytes() const;
 
@@ -103,6 +107,9 @@ class KvStore {
   /// page extended by this prompt is upgraded in place.
   void publish(int slot, const std::vector<int64_t>& ids);
 
+  /// Whether `slot` is open (admitted by open_slot, not yet dropped).
+  bool slot_open(int slot) const;
+
   /// Releases every page reference and the remaining reservation of
   /// `slot`. Pages also referenced by the tree (or by other slots) stay
   /// resident; exclusively owned pages return to the free list.
@@ -113,9 +120,23 @@ class KvStore {
   /// copying-on-write when the target page is shared. Worker-thread API.
   void append(int lane, int slot, const float* krow, const float* vrow);
 
+  /// Which half of a page run() reads.
+  enum class Panel { K, V };
+
+  /// Rows [page * page_tokens, page * page_tokens + rows) of `lane`'s
+  /// `which` panel for `slot`, as fp32 rows `row_elems` floats apart.
+  /// fp32 pages are returned in place. fp16 pages are dequantised — only
+  /// columns [col0, col0 + cols) of each row — into `scratch`
+  /// (page_tokens * row_elems floats) at the same offsets, and `scratch`
+  /// is returned; readers of disjoint column ranges may share one buffer.
+  /// Worker-thread API.
+  const float* run(int lane, int slot, int64_t page, Panel which,
+                   int64_t rows, int64_t col0, int64_t cols,
+                   float* scratch) const;
+
   /// Gathers rows [0, len) of `lane`'s cache for `slot` into contiguous
-  /// fp32 panels (`kout` / `vout`, len * row_elems floats each),
-  /// dequantizing fp16 pages. Worker-thread API.
+  /// fp32 panels (`kout` / `vout`, len * row_elems floats each), one run()
+  /// per page. Worker-thread API.
   void gather(int lane, int slot, int64_t len, float* kout,
               float* vout) const;
 
@@ -135,8 +156,8 @@ class KvStore {
   int64_t pages_in_use() const;
   /// High-water mark of pages_in_use() over the store's lifetime.
   int64_t peak_pages() const;
-  /// Pages referenced by at least one open slot — the paged analogue of
-  /// slot_bytes()'s leak probe: zero once every stream has dropped.
+  /// Pages referenced by at least one open slot — the slot_bytes() leak
+  /// probe: zero once every stream has dropped.
   int64_t slot_ref_pages() const;
   int64_t free_pages() const;
   /// Bytes behind pages_in_use() / slot_ref_pages().
@@ -164,6 +185,9 @@ class KvStore {
   };
   struct Node;  // radix-tree node: tokens chunk + one page per lane
 
+  // Range-checked accessors: a lane outside [0, lanes) or a slot outside
+  // [0, max_slots) throws std::invalid_argument.
+  void check_slot(int slot) const;
   LaneSlot& lane_slot(int lane, int slot);
   const LaneSlot& lane_slot(int lane, int slot) const;
   // Pool primitives; all require mu_ held.
@@ -175,7 +199,8 @@ class KvStore {
   int64_t prune_nodes_locked(std::vector<std::unique_ptr<Node>>& nodes);
   void drop_nodes_locked(std::vector<std::unique_ptr<Node>>& nodes);
   bool page_shared(int32_t p) const;
-  // Payload access (no lock: single-writer pages).
+  // Payload access (no lock: single-writer pages). Row `row` of a page's
+  // K half; its V half starts at row page_tokens.
   float* k_row32(int32_t page, int row);
   uint16_t* k_row16(int32_t page, int row);
   int64_t page_elems() const;  ///< floats (or halves) per page: 2 * pg * row

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "model/partition.hpp"
@@ -430,4 +431,159 @@ TEST(Decode, PagedDecodeRejectsBatchesAndOutOfOrderPositions) {
   one[0] = 4.0f;
   EXPECT_THROW(m.decode(one, 5, 0), std::logic_error);  // skips position 3
   store.drop_slot(0);
+}
+
+// ---- Page boundaries: every page size, mid-page suffix prefills ----------
+
+namespace {
+
+/// A store whose pages hold `page_tokens` rows, sized so every slot can
+/// hold a full-context stream plus its copy-on-write spares.
+runtime::KvStoreConfig page_cfg(const ModelConfig& cfg, int page_tokens,
+                                bool fp16) {
+  runtime::KvStoreConfig kc = paged_cfg(cfg, fp16);
+  kc.page_tokens = page_tokens;
+  kc.pool_pages = kc.max_slots * cfg.layers *
+                  ((cfg.seq + page_tokens - 1) / page_tokens + 1);
+  return kc;
+}
+
+/// Greedy argmax of the last row.
+int64_t last_row_argmax(const Tensor& y) {
+  const int64_t V = y.size(2);
+  const float* row = y.data() + (y.size(1) - 1) * V;
+  int64_t best = 0;
+  for (int64_t v = 1; v < V; ++v) {
+    if (row[v] > row[best]) best = v;
+  }
+  return best;
+}
+
+/// Last rows of `a` and `b` agree bitwise.
+::testing::AssertionResult same_last_row(const Tensor& a, const Tensor& b) {
+  const int64_t V = a.size(2);
+  const float* ra = a.data() + (a.size(1) - 1) * V;
+  const float* rb = b.data() + (b.size(1) - 1) * V;
+  for (int64_t v = 0; v < V; ++v) {
+    if (ra[v] != rb[v]) {
+      return ::testing::AssertionFailure()
+             << "logit " << v << ": " << ra[v] << " vs " << rb[v];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Greedy-decodes `steps` tokens after `seq`'s prefill result `y` through
+/// `paged` (slot `slot`), checking every step's last row bitwise against a
+/// bare-module full-prefix recompute.
+void expect_decode_tracks_recompute(StageModule& paged, int slot, Tensor y,
+                                    std::vector<int64_t> seq, int steps,
+                                    bool fp16, const std::string& what) {
+  StageModule ref = full_module(kTiny);
+  ref.set_kv_fp16(fp16);
+  for (int step = 0; step <= steps; ++step) {
+    ref.drop_slot(0);
+    const Tensor y_ref = ref.decode(ids_tensor(seq), 0, 0);
+    ASSERT_TRUE(same_last_row(y_ref, y)) << what << " step " << step;
+    if (step == steps) break;
+    const int64_t best = last_row_argmax(y_ref);
+    seq.push_back(best);
+    Tensor one({1, 1});
+    one[0] = static_cast<float>(best);
+    y = paged.decode(one, static_cast<int64_t>(seq.size()) - 1, slot);
+  }
+}
+
+}  // namespace
+
+TEST(Decode, PagedDecodeMatchesRecomputeAtEveryPageSize) {
+  // Page sizes 1 (every row its own page), 3 (runs of uneven length, the
+  // prompt ending mid-page) and 16 (the whole context in one or two runs):
+  // the per-run score and context kernels must agree bitwise with the
+  // bare module's recompute, fp32 and fp16.
+  for (const int pg : {1, 3, 16}) {
+    for (const bool fp16 : {false, true}) {
+      const std::string what = "page " + std::to_string(pg) +
+                               (fp16 ? " fp16" : " fp32");
+      StageModule inc = full_module(kTiny);
+      runtime::KvStore store(page_cfg(kTiny, pg, fp16));
+      inc.set_kv_store(&store);
+      Rng rng(21);
+      std::vector<int64_t> seq;
+      for (int i = 0; i < 5; ++i) seq.push_back(rng.index(kTiny.vocab));
+      const int kSteps = 14;  // 19 positions: crosses a 16-row page edge
+      ASSERT_TRUE(store.open_slot(0, seq, 5 + kSteps, nullptr));
+      const Tensor y = inc.decode(ids_tensor(seq), 0, 0);
+      expect_decode_tracks_recompute(inc, 0, y, seq, kSteps, fp16, what);
+      EXPECT_EQ(store.lane_len(0, 0), 5 + kSteps) << what;
+      store.drop_slot(0);
+      EXPECT_EQ(store.pages_in_use(), 0) << what;
+    }
+  }
+}
+
+TEST(Decode, PagedMidPageSuffixPrefillMatchesRecompute) {
+  // A shared-prefix admission whose suffix prefill starts mid-page
+  // (pos0 = 5 on 3- and 16-row pages): the adopted partial page is
+  // copied on write, and the suffix and every later decode step still
+  // equal a full-prefix recompute bitwise.
+  const std::vector<int64_t> head = {7, 3, 11, 5, 2};
+  for (const int pg : {1, 3, 16}) {
+    for (const bool fp16 : {false, true}) {
+      const std::string what = "page " + std::to_string(pg) +
+                               (fp16 ? " fp16" : " fp32");
+      StageModule paged = full_module(kTiny);
+      runtime::KvStore store(page_cfg(kTiny, pg, fp16));
+      paged.set_kv_store(&store);
+      std::vector<int64_t> a = head, b = head;
+      a.insert(a.end(), {13, 4});
+      b.insert(b.end(), {1, 8, 6});
+
+      ASSERT_TRUE(store.open_slot(0, a, static_cast<int64_t>(a.size()),
+                                  nullptr));
+      (void)paged.decode(ids_tensor(a), 0, 0);
+      store.publish(0, a);
+      store.drop_slot(0);
+
+      const int kSteps = 6;
+      int64_t shared = -1;
+      ASSERT_TRUE(store.open_slot(
+          1, b, static_cast<int64_t>(b.size()) + kSteps, &shared));
+      ASSERT_EQ(shared, static_cast<int64_t>(head.size())) << what;
+      const std::vector<int64_t> tail(b.begin() + shared, b.end());
+      const Tensor y = paged.decode(ids_tensor(tail), shared, 1);
+      expect_decode_tracks_recompute(paged, 1, y, b, kSteps, fp16, what);
+      store.drop_slot(1);
+      store.clear_prefix_cache();
+      EXPECT_EQ(store.pages_in_use(), 0) << what;
+    }
+  }
+}
+
+TEST(Decode, BareModuleSlotPastItsTableThrows) {
+  // A module without an attached store decodes through its own, whose
+  // slot table is [0, kBareSlots): an id outside it is rejected, not
+  // written past the table.
+  StageModule m = full_module(kTiny);
+  const int past = StageModule::kBareSlots;
+  EXPECT_THROW(m.decode(ids_tensor({1, 2, 3}), 0, past),
+               std::invalid_argument);
+  EXPECT_THROW(m.decode(ids_tensor({1, 2, 3}), 0, -1), std::invalid_argument);
+  Tensor one({1, 1});
+  one[0] = 4.0f;
+  EXPECT_THROW(m.decode(one, 3, past), std::invalid_argument);
+  EXPECT_THROW(m.drop_slot(past), std::invalid_argument);
+  EXPECT_EQ(m.slot_bytes(), 0);
+  // The last slot of the table is an ordinary stream.
+  (void)m.decode(ids_tensor({1, 2, 3}), 0, past - 1);
+  EXPECT_GT(m.slot_bytes(), 0);
+  m.drop_slot(past - 1);
+  EXPECT_EQ(m.slot_bytes(), 0);
+}
+
+TEST(Decode, BareModuleRejectsBatches) {
+  // Decode streams are batch-1 with or without an attached store.
+  StageModule m = full_module(kTiny);
+  Tensor two({2, 3});
+  EXPECT_THROW(m.decode(two, 0, 0), std::invalid_argument);
 }

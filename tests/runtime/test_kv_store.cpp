@@ -434,3 +434,80 @@ void run_storm(bool fp16) {
 TEST(KvStore, AllocFreeStormUnderThreadsFp32) { run_storm(false); }
 
 TEST(KvStore, AllocFreeStormUnderThreadsFp16) { run_storm(true); }
+
+TEST(KvStore, OutOfRangeSlotsAndLanesAreRejected) {
+  // Every slot- or lane-indexed entry point range-checks its ids: a bad id
+  // is a std::invalid_argument, never an out-of-bounds page-table access.
+  KvStore store(store_cfg(/*pool_pages=*/8));
+  (void)store.register_lane();
+  (void)store.register_lane();
+  ASSERT_TRUE(store.open_slot(0, {}, 4, nullptr));
+  std::vector<float> k, v;
+  fill_row(0, k, v);
+  std::vector<float> scratch(static_cast<size_t>(kPg * kRow));
+  for (const int slot : {-1, 4, 1 << 20}) {  // max_slots == 4
+    EXPECT_THROW(store.drop_slot(slot), std::invalid_argument);
+    EXPECT_THROW(store.append(0, slot, k.data(), v.data()),
+                 std::invalid_argument);
+    EXPECT_THROW(store.gather(0, slot, 0, k.data(), v.data()),
+                 std::invalid_argument);
+    EXPECT_THROW((void)store.lane_len(0, slot), std::invalid_argument);
+    EXPECT_THROW((void)store.slot_open(slot), std::invalid_argument);
+    EXPECT_THROW(store.publish(slot, ids({1})), std::invalid_argument);
+  }
+  for (const int lane : {-1, 2, 1 << 20}) {  // two lanes registered
+    EXPECT_THROW(store.append(lane, 0, k.data(), v.data()),
+                 std::invalid_argument);
+    EXPECT_THROW(store.gather(lane, 0, 0, k.data(), v.data()),
+                 std::invalid_argument);
+    EXPECT_THROW((void)store.lane_len(lane, 0), std::invalid_argument);
+    EXPECT_THROW((void)store.run(lane, 0, 0, KvStore::Panel::K, 1, 0, kRow,
+                                 scratch.data()),
+                 std::invalid_argument);
+  }
+  // The rejected calls touched nothing.
+  EXPECT_TRUE(store.slot_open(0));
+  EXPECT_EQ(store.lane_len(0, 0), 0);
+  EXPECT_EQ(store.lane_len(1, 0), 0);
+  EXPECT_EQ(store.pages_in_use(), 0);
+  store.drop_slot(0);
+  EXPECT_FALSE(store.slot_open(0));
+}
+
+TEST(KvStore, RunReadsFp32InPlaceAndDequantisesFp16ColumnsIntoScratch) {
+  for (const bool fp16 : {false, true}) {
+    KvStore store(store_cfg(/*pool_pages=*/8, fp16));
+    (void)store.register_lane();
+    ASSERT_TRUE(store.open_slot(0, {}, 6, nullptr));
+    append_rows(store, 0, 0, 6);  // page 0 full, page 1 holds rows 4, 5
+    std::vector<float> scratch(static_cast<size_t>(kPg * kRow), -7.0f);
+    std::vector<float> ek, ev;
+    // Columns [2, 5) of page 1's two V rows.
+    const float* vr =
+        store.run(0, 0, /*page=*/1, KvStore::Panel::V, /*rows=*/2,
+                  /*col0=*/2, /*cols=*/3, scratch.data());
+    EXPECT_EQ(vr == scratch.data(), fp16) << (fp16 ? "fp16" : "fp32");
+    for (int64_t r = 0; r < 2; ++r) {
+      fill_row(4 + r, ek, ev);
+      for (int64_t i = 2; i < 5; ++i) {
+        EXPECT_EQ(vr[r * kRow + i], ev[static_cast<size_t>(i)])
+            << "row " << r << " col " << i;
+      }
+    }
+    if (fp16) {
+      // Only the requested columns were written: heads reading disjoint
+      // column ranges can share one scratch.
+      EXPECT_EQ(scratch[0], -7.0f);
+      EXPECT_EQ(scratch[5], -7.0f);
+      EXPECT_EQ(scratch[static_cast<size_t>(2 * kRow)], -7.0f);
+    }
+    // Runs stop at the cached length and at the page edge.
+    EXPECT_THROW((void)store.run(0, 0, 1, KvStore::Panel::K, 3, 0, kRow,
+                                 scratch.data()),
+                 std::logic_error);
+    EXPECT_THROW((void)store.run(0, 0, 0, KvStore::Panel::K, kPg + 1, 0, kRow,
+                                 scratch.data()),
+                 std::logic_error);
+    store.drop_slot(0);
+  }
+}
