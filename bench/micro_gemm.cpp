@@ -10,7 +10,8 @@
 //
 //   ./bench/micro_gemm --benchmark_format=json --benchmark_out=BENCH_gemm.json
 //
-// items_per_second is FLOP/s (2*m*n*k per multiply).
+// items_per_second is FLOP/s (2*m*n*k per multiply). The JSON context's
+// `gemm_isa` names the micro-kernel variant the host dispatched to.
 
 #include <benchmark/benchmark.h>
 
@@ -224,4 +225,13 @@ static void BM_MatmulAtAccum(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulAtAccum)->Arg(256)->Unit(benchmark::kMillisecond);
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the GEMM ISA the run dispatched to, so every
+// BENCH_gemm JSON says which micro-kernel its numbers measure.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("gemm_isa", ht::kernels::gemm_isa());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -8,11 +8,12 @@
 //
 // Mechanism: alloc_stats.cpp defines the replaceable global allocation
 // functions (funnelling through std::malloc/std::free) with relaxed atomic
-// counters in front. Linking rule: the translation unit is pulled into a
-// binary exactly when something references `alloc_stats()` — a test that
-// asks for the numbers is counting, a binary that never asks keeps the
-// stock allocator. The counters are process-wide and thread-safe; take a
-// snapshot before and after the region of interest and subtract.
+// counters in front. Linking rule: that object file also defines global
+// `operator new`, so in a static link against libhanayo.a the first `new`
+// anywhere in the program pulls it in — every binary that links the
+// library counts, whether or not it ever calls `alloc_stats()`. The
+// counters are process-wide and thread-safe; take a snapshot before and
+// after the region of interest and subtract.
 
 #include <cstdint>
 
@@ -29,8 +30,8 @@ struct AllocStats {
   }
 };
 
-/// Snapshot of the counters. First use activates counting for the whole
-/// binary (see linking rule above).
+/// Snapshot of the counters (counting runs from program start; see the
+/// linking rule above).
 AllocStats alloc_stats();
 
 /// Diagnostic tap for hunting the last allocations on a "zero" path: while

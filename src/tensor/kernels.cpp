@@ -7,27 +7,13 @@
 #include <vector>
 
 #include "tensor/arena.hpp"
+#include "tensor/kernels_isa.hpp"
 #include "tensor/parallel.hpp"
 
 namespace hanayo::tensor::kernels {
 
 namespace {
 
-// Register micro-tile: MR rows of A against NR columns of B/C, sized per
-// ISA so the accumulator tile exactly fills the SIMD register file
-// (measured on a 2.1 GHz AVX-512 Xeon: 8x3 zmm accumulators ~130 GF/s vs
-// ~21 GF/s for the seed's naive loop; the 6x2 ymm shape is the AVX2
-// sweet spot at ~70 GF/s).
-#if defined(__AVX512F__)
-constexpr int64_t MR = 8;   // rows per register tile
-constexpr int64_t NV = 3;   // vectors per row
-constexpr int64_t VLEN = 16;  // floats per vector
-#else
-constexpr int64_t MR = 6;
-constexpr int64_t NV = 2;
-constexpr int64_t VLEN = 8;
-#endif
-constexpr int64_t NR = NV * VLEN;
 // K-panel so the streamed B rows stay cache-resident between row blocks.
 constexpr int64_t KC = 256;
 // Unroll of the k loop inside the micro-kernel (hides FMA latency).
@@ -42,161 +28,6 @@ constexpr int64_t kParallelFlops = int64_t{1} << 18;
 constexpr int64_t kPackMinK = 64;
 
 std::atomic<bool> g_pack_a{true};
-
-// C[MR x NR] += A-panel * B-panel over kc steps. The accumulator tile is
-// expressed as explicit VLEN-wide vector values (GCC/Clang vector
-// extension) so it provably lives in SIMD registers — written as a plain
-// float array the compiler spills it to the stack once this kernel is
-// inlined into the blocking loops, which costs ~10x. Lane j of a vector is
-// column j of C, so each element still accumulates one multiply-add per kk
-// in ascending-kk order, the same sequence as the scalar edge kernel.
-// `noinline` keeps the register allocation of this leaf isolated from the
-// caller's loop nest. On compilers without the extension the scalar edge
-// kernel below handles everything.
-#if defined(__GNUC__) || defined(__clang__)
-#define HANAYO_VECTOR_KERNEL 1
-typedef float vf __attribute__((vector_size(VLEN * sizeof(float)),
-                                aligned(alignof(float))));
-
-// Scalar-to-vector broadcast. The braced form compiles to one
-// vbroadcastss; arithmetic splats like `vf{} + x` cost an extra vector add
-// (x + 0.0f is not foldable under signed-zero semantics). A macro rather
-// than a function: returning a wide vector by value trips GCC's unfixable
-// -Wpsabi ABI note on pre-AVX targets.
-#if defined(__AVX512F__)
-#define HANAYO_SPLAT(x) \
-  (vf) { x, x, x, x, x, x, x, x, x, x, x, x, x, x, x, x }
-#else
-#define HANAYO_SPLAT(x) \
-  (vf) { x, x, x, x, x, x, x, x }
-#endif
-
-// One k step for a register tile of MR x NVt vectors.
-template <int64_t NVt>
-inline void micro_step(int64_t kk, const float* a, int64_t lda,
-                       const float* b, int64_t ldb, vf acc[MR][NVt]) {
-  vf bv[NVt];
-  for (int64_t q = 0; q < NVt; ++q)
-    std::memcpy(&bv[q], b + kk * ldb + VLEN * q, sizeof(vf));
-  for (int64_t r = 0; r < MR; ++r) {
-    const vf avv = HANAYO_SPLAT(a[r * lda + kk]);
-    for (int64_t q = 0; q < NVt; ++q) acc[r][q] += avv * bv[q];
-  }
-}
-
-// Full-height register tile covering NVt vectors of columns; NVt < NV
-// instantiations serve the column tail so it stays vectorised. When
-// `load_c` is false the accumulators start from zero instead of reading C,
-// so an overwriting gemm never needs a separate output-clearing pass
-// (0 + ascending-k FMAs is the same per-element sequence either way).
-template <int64_t NVt>
-__attribute__((noinline)) void micro_tile(int64_t kc, const float* a,
-                                          int64_t lda, const float* b,
-                                          int64_t ldb, float* c, int64_t ldc,
-                                          bool load_c) {
-  vf acc[MR][NVt];
-  if (load_c) {
-    for (int64_t r = 0; r < MR; ++r)
-      for (int64_t q = 0; q < NVt; ++q)
-        std::memcpy(&acc[r][q], c + r * ldc + VLEN * q, sizeof(vf));
-  } else {
-    for (int64_t r = 0; r < MR; ++r)
-      for (int64_t q = 0; q < NVt; ++q) acc[r][q] = vf{};
-  }
-  int64_t kk = 0;
-  for (; kk + KU <= kc; kk += KU)
-    for (int64_t u = 0; u < KU; ++u)
-      micro_step<NVt>(kk + u, a, lda, b, ldb, acc);
-  for (; kk < kc; ++kk) micro_step<NVt>(kk, a, lda, b, ldb, acc);
-  for (int64_t r = 0; r < MR; ++r)
-    for (int64_t q = 0; q < NVt; ++q)
-      std::memcpy(c + r * ldc + VLEN * q, &acc[r][q], sizeof(vf));
-}
-
-// Column tail of nv whole vectors (nv in [1, NV)).
-inline void micro_tile_tail(int64_t nv, int64_t kc, const float* a,
-                            int64_t lda, const float* b, int64_t ldb,
-                            float* c, int64_t ldc, bool load_c) {
-  if (nv == 1) {
-    micro_tile<1>(kc, a, lda, b, ldb, c, ldc, load_c);
-  } else {
-    static_assert(NV <= 3, "extend the tail dispatch for wider tiles");
-    micro_tile<2>(kc, a, lda, b, ldb, c, ldc, load_c);
-  }
-}
-
-// Packed-A variants: `ap` is an MR-strided panel (element (r, kk) at
-// ap[kk * MR + r]) packed once per thread row-range, so the kk loop walks
-// A contiguously instead of striding lda floats per row. The per-element
-// FMA sequence is identical to the strided kernel — same values, same
-// ascending-kk order — which keeps packed results bitwise equal to
-// unpacked ones (locked by KernelsTest.PackABitIdentical).
-template <int64_t NVt>
-inline void micro_step_packed(int64_t kk, const float* ap, const float* b,
-                              int64_t ldb, vf acc[MR][NVt]) {
-  vf bv[NVt];
-  for (int64_t q = 0; q < NVt; ++q)
-    std::memcpy(&bv[q], b + kk * ldb + VLEN * q, sizeof(vf));
-  const float* arow = ap + kk * MR;
-  for (int64_t r = 0; r < MR; ++r) {
-    const vf avv = HANAYO_SPLAT(arow[r]);
-    for (int64_t q = 0; q < NVt; ++q) acc[r][q] += avv * bv[q];
-  }
-}
-
-template <int64_t NVt>
-__attribute__((noinline)) void micro_tile_packed(int64_t kc, const float* ap,
-                                                 const float* b, int64_t ldb,
-                                                 float* c, int64_t ldc,
-                                                 bool load_c) {
-  vf acc[MR][NVt];
-  if (load_c) {
-    for (int64_t r = 0; r < MR; ++r)
-      for (int64_t q = 0; q < NVt; ++q)
-        std::memcpy(&acc[r][q], c + r * ldc + VLEN * q, sizeof(vf));
-  } else {
-    for (int64_t r = 0; r < MR; ++r)
-      for (int64_t q = 0; q < NVt; ++q) acc[r][q] = vf{};
-  }
-  int64_t kk = 0;
-  for (; kk + KU <= kc; kk += KU)
-    for (int64_t u = 0; u < KU; ++u)
-      micro_step_packed<NVt>(kk + u, ap, b, ldb, acc);
-  for (; kk < kc; ++kk) micro_step_packed<NVt>(kk, ap, b, ldb, acc);
-  for (int64_t r = 0; r < MR; ++r)
-    for (int64_t q = 0; q < NVt; ++q)
-      std::memcpy(c + r * ldc + VLEN * q, &acc[r][q], sizeof(vf));
-}
-
-inline void micro_tile_tail_packed(int64_t nv, int64_t kc, const float* ap,
-                                   const float* b, int64_t ldb, float* c,
-                                   int64_t ldc, bool load_c) {
-  if (nv == 1) {
-    micro_tile_packed<1>(kc, ap, b, ldb, c, ldc, load_c);
-  } else {
-    micro_tile_packed<2>(kc, ap, b, ldb, c, ldc, load_c);
-  }
-}
-#endif
-
-// Ragged edge tiles (mr < MR and/or nr < NR); same loop structure and the
-// same ascending-kk order per element.
-inline void micro_edge(int64_t mr, int64_t nr, int64_t kc, const float* a,
-                       int64_t lda, const float* b, int64_t ldb, float* c,
-                       int64_t ldc, bool load_c) {
-  float acc[MR][NR];
-  for (int64_t r = 0; r < mr; ++r)
-    for (int64_t j = 0; j < nr; ++j) acc[r][j] = load_c ? c[r * ldc + j] : 0.0f;
-  for (int64_t kk = 0; kk < kc; ++kk) {
-    const float* brow = b + kk * ldb;
-    for (int64_t r = 0; r < mr; ++r) {
-      const float av = a[r * lda + kk];
-      for (int64_t j = 0; j < nr; ++j) acc[r][j] += av * brow[j];
-    }
-  }
-  for (int64_t r = 0; r < mr; ++r)
-    for (int64_t j = 0; j < nr; ++j) c[r * ldc + j] = acc[r][j];
-}
 
 // Pack-panel scratch. Two independent pools because they nest: gemm_bt
 // holds its transposed-B panel across the inner gemm call, whose
@@ -216,106 +47,100 @@ std::vector<float>& pack_fallback_a() {
   return v;
 }
 
-// One thread's share of a gemm: rows [i0, i1) of C. The first k-panel of
-// an overwriting gemm starts its accumulators from zero instead of reading
-// C, so no separate output-clearing pass is needed. For deep-k problems
-// the thread packs its full MR row blocks of A once into MR-strided
-// panels, reused across every k-block and the whole column sweep; ragged
-// row tails and small problems stream A in place.
-void gemm_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
-               int64_t lda, const float* b, int64_t ldb, float* c,
-               int64_t ldc, bool accumulate) {
-  if (k <= 0) {  // degenerate product: all-zero (or untouched) output
-    if (!accumulate) {
-      for (int64_t i = i0; i < i1; ++i)
-        std::memset(c + i * ldc, 0, static_cast<size_t>(n) * sizeof(float));
-    }
-    return;
-  }
-#ifdef HANAYO_VECTOR_KERNEL
-  const int64_t full_blocks =
-      (g_pack_a.load(std::memory_order_relaxed) && k >= kPackMinK &&
-       n >= VLEN)
-          ? (i1 - i0) / MR
-          : 0;
-#else
-  const int64_t full_blocks = 0;
+// The row kernel (gemm_rows.inc) compiled once per target, with a register
+// tile sized so the accumulators, the B vectors and one broadcast fill
+// that target's SIMD register file; a tile with more accumulators than
+// registers spills on every k step (6x2 vectors of 8 floats on a bare
+// SSE2 target ran at ~1.7 GF/s). Per-function target attributes rather
+// than per-file -m flags: only these functions are built for the wider
+// ISA, so no inline helper shared with baseline code (std::min, ...) can
+// be emitted with instructions the host might lack. Single-thread, default
+// build, AVX-512 Xeon: avx512f ~90-120 GF/s, avx2 ~45-55 GF/s, baseline
+// ~14-22 GF/s at 64-256 rows.
+#if defined(__x86_64__) || defined(__i386__)
+namespace avx512 {  // 24 of 32 zmm accumulate
+#define HANAYO_GEMM_TARGET __attribute__((target("avx512f,fma")))
+constexpr int64_t MR = 8, NV = 3, VLEN = 16;
+#include "tensor/gemm_rows.inc"
+#undef HANAYO_GEMM_TARGET
+}  // namespace avx512
+
+namespace avx2 {  // 12 of 16 ymm accumulate
+#define HANAYO_GEMM_TARGET __attribute__((target("avx2,fma")))
+constexpr int64_t MR = 6, NV = 2, VLEN = 8;
+#include "tensor/gemm_rows.inc"
+#undef HANAYO_GEMM_TARGET
+}  // namespace avx2
 #endif
-  ScratchBuffer apack(full_blocks * k * MR, pack_fallback_a());
-#ifdef HANAYO_VECTOR_KERNEL
-  if (full_blocks > 0) {
-    for (int64_t blk = 0; blk < full_blocks; ++blk) {
-      const float* src = a + (i0 + blk * MR) * lda;
-      float* panel = apack.data() + blk * k * MR;
-      for (int64_t kk = 0; kk < k; ++kk)
-        for (int64_t r = 0; r < MR; ++r) panel[kk * MR + r] = src[r * lda + kk];
-    }
-  }
+
+namespace baseline {  // 12 of 16 xmm accumulate; runs on any target
+#define HANAYO_GEMM_TARGET
+constexpr int64_t MR = 4, NV = 3, VLEN = 4;
+#include "tensor/gemm_rows.inc"
+#undef HANAYO_GEMM_TARGET
+}  // namespace baseline
+
+#if defined(__x86_64__) || defined(__i386__)
+// __builtin_cpu_init makes the checks valid even when the first gemm runs
+// from another translation unit's static initialiser.
+bool host_has_avx512() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma");
+}
+
+bool host_has_avx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+}
 #endif
-  for (int64_t kb = 0; kb < k; kb += KC) {
-    const int64_t kc = std::min(KC, k - kb);
-    const bool load_c = accumulate || kb > 0;
-    for (int64_t i = i0; i < i1; i += MR) {
-      const int64_t mr = std::min(MR, i1 - i);
-      const float* apanel = a + i * lda + kb;
-      const float* bpanel = b + kb * ldb;
-      float* crow = c + i * ldc;
-      int64_t j = 0;
-#ifdef HANAYO_VECTOR_KERNEL
-      if (mr == MR) {
-        const int64_t blk = (i - i0) / MR;
-        if (blk < full_blocks) {
-          const float* ap = apack.data() + blk * k * MR + kb * MR;
-          for (; j + NR <= n; j += NR)
-            micro_tile_packed<NV>(kc, ap, bpanel + j, ldb, crow + j, ldc,
-                                  load_c);
-          const int64_t nv_tail = (n - j) / VLEN;
-          if (nv_tail > 0) {
-            micro_tile_tail_packed(nv_tail, kc, ap, bpanel + j, ldb, crow + j,
-                                   ldc, load_c);
-            j += nv_tail * VLEN;
-          }
-        } else {
-          for (; j + NR <= n; j += NR)
-            micro_tile<NV>(kc, apanel, lda, bpanel + j, ldb, crow + j, ldc,
-                           load_c);
-          const int64_t nv_tail = (n - j) / VLEN;
-          if (nv_tail > 0) {
-            micro_tile_tail(nv_tail, kc, apanel, lda, bpanel + j, ldb,
-                            crow + j, ldc, load_c);
-            j += nv_tail * VLEN;
-          }
-        }
-      }
-#endif
-      // Ragged rows (m % MR) and the sub-vector column remainder.
-      for (; j < n; j += NR) {
-        micro_edge(mr, std::min(NR, n - j), kc, apanel, lda, bpanel + j, ldb,
-                   crow + j, ldc, load_c);
-      }
-    }
-  }
+
+// Chosen once, on first use.
+const GemmIsa& dispatched_isa() {
+  static const GemmIsa& chosen = *std::ranges::find_if(
+      gemm_isas(), [](const GemmIsa& isa) { return isa.host_supports; });
+  return chosen;
 }
 
 }  // namespace
 
-void gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
-          const float* b, int64_t ldb, float* c, int64_t ldc,
-          bool accumulate) {
+std::span<const GemmIsa> gemm_isas() {
+  static const GemmIsa table[] = {
+#if defined(__x86_64__) || defined(__i386__)
+      {"avx512f", avx512::MR, host_has_avx512(), &avx512::gemm_rows},
+      {"avx2", avx2::MR, host_has_avx2(), &avx2::gemm_rows},
+#endif
+      {"baseline", baseline::MR, true, &baseline::gemm_rows},
+  };
+  return table;
+}
+
+const char* gemm_isa() { return dispatched_isa().name; }
+
+void gemm_with(const GemmIsa& isa, int64_t m, int64_t n, int64_t k,
+               const float* a, int64_t lda, const float* b, int64_t ldb,
+               float* c, int64_t ldc, bool accumulate) {
   if (m <= 0 || n <= 0) return;
   if (2 * m * n * std::max<int64_t>(k, 1) < kParallelFlops) {
-    gemm_rows(0, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+    isa.rows(0, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
     return;
   }
   // Partition whole MR row-blocks, so which rows share a register tile —
-  // and therefore which micro-kernel touches them — depends only on m,
-  // never on the thread count. That keeps results bit-identical for 1 and
-  // N threads even if the full and edge kernels round differently.
-  const int64_t row_blocks = (m + MR - 1) / MR;
+  // and therefore which micro-kernel touches them — depends only on m and
+  // the ISA, never on the thread count. That keeps results bit-identical
+  // for 1 and N threads even if the full and edge kernels round
+  // differently.
+  const int64_t mr = isa.mr;
+  const int64_t row_blocks = (m + mr - 1) / mr;
   parallel_for(row_blocks, 1, [&](int64_t b0, int64_t b1) {
-    gemm_rows(b0 * MR, std::min(b1 * MR, m), n, k, a, lda, b, ldb, c, ldc,
-              accumulate);
+    isa.rows(b0 * mr, std::min(b1 * mr, m), n, k, a, lda, b, ldb, c, ldc,
+             accumulate);
   });
+}
+
+void gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+          const float* b, int64_t ldb, float* c, int64_t ldc,
+          bool accumulate) {
+  gemm_with(dispatched_isa(), m, n, k, a, lda, b, ldb, c, ldc, accumulate);
 }
 
 void gemm_bt(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,

@@ -8,12 +8,18 @@
 // `*_into` / `*_accum` wrappers write into caller-owned outputs and
 // accumulate into gradients without temporaries.
 //
+// The GEMM micro-kernel is built for several x86 targets (AVX-512F,
+// AVX2+FMA, and a baseline tile for any CPU) and picks the best one the
+// host supports at first use; gemm_isa() names the choice.
+//
 // Determinism contract: for a given problem, every output element is
-// accumulated in ascending-k order regardless of blocking, SIMD width or
-// the intra-op thread count. Threads partition output *rows* only, so the
-// per-element reduction order never changes and results are bit-identical
-// for 1 and N intra-op threads — the property the Threads-vs-Reference
-// session equivalence tests rely on.
+// accumulated in ascending-k order regardless of blocking or the intra-op
+// thread count. Threads partition output *rows* in whole register-tile
+// blocks only, so within one dispatched ISA the per-element reduction
+// order never changes: results are bit-identical for 1 and N intra-op
+// threads and with A-packing on or off — the property the
+// Threads-vs-Reference session equivalence tests rely on. Across ISAs the
+// last bits may differ (fused multiply-add vs separate multiply and add).
 
 #include "tensor/tensor.hpp"
 
@@ -53,6 +59,10 @@ void transpose_pack(const float* src, int64_t rows, int64_t cols, int64_t ld,
 /// tests A/B this switch to prove both claims).
 void set_gemm_pack_a(bool on);
 bool gemm_pack_a();
+
+/// The instruction set the GEMM micro-kernel dispatched to on this host:
+/// "avx512f", "avx2" or "baseline".
+const char* gemm_isa();
 
 }  // namespace hanayo::tensor::kernels
 

@@ -1,14 +1,18 @@
 // The blocked GEMM kernels against a naive reference: odd shapes that don't
 // divide the register/cache blocks, degenerate extents, the accumulate
 // forms, and the determinism contract — bit-identical results for 1 vs N
-// intra-op threads.
+// intra-op threads. The KernelsIsa suite repeats the checks for every
+// per-ISA variant of the micro-kernel the host can run.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_isa.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/rng.hpp"
@@ -263,6 +267,136 @@ TEST(Kernels, IntoFormsRejectBadOutputShapes) {
   ht::Tensor bad_inner({4, 4});
   ht::Tensor out({2, 4});
   EXPECT_THROW(ht::matmul_into(a, bad_inner, out), std::invalid_argument);
+}
+
+namespace {
+
+// The variant named `name`, or nullptr with `why` set when this build or
+// host cannot run it.
+const ht::kernels::GemmIsa* runnable_isa(const std::string& name,
+                                         std::string* why) {
+  for (const auto& isa : ht::kernels::gemm_isas()) {
+    if (name != isa.name) continue;
+    if (isa.host_supports) return &isa;
+    *why = "host CPU lacks " + name;
+    return nullptr;
+  }
+  *why = name + " kernel is not compiled for this target";
+  return nullptr;
+}
+
+// C = or += A * B through one variant's gemm, dense row-major operands.
+void gemm_on(const ht::kernels::GemmIsa& isa, const ht::Tensor& a,
+             const ht::Tensor& b, ht::Tensor& c, bool accumulate) {
+  const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
+  ht::kernels::gemm_with(isa, m, n, k, a.data(), k, b.data(), n, c.data(), n,
+                         accumulate);
+}
+
+class KernelsIsa : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    std::string why;
+    isa_ = runnable_isa(GetParam(), &why);
+    if (isa_ == nullptr) GTEST_SKIP() << why;
+    saved_pack_ = ht::kernels::gemm_pack_a();
+  }
+  void TearDown() override {
+    if (isa_ != nullptr) ht::kernels::set_gemm_pack_a(saved_pack_);
+  }
+
+  const ht::kernels::GemmIsa* isa_ = nullptr;
+  bool saved_pack_ = true;
+};
+
+}  // namespace
+
+TEST_P(KernelsIsa, MatchesNaiveOnRaggedShapes) {
+  // m, n, k off every tile multiple (MR 4/6/8, NR 12/16/48, VLEN 4/8/16),
+  // exact multiples, k straddling the packing threshold (64) and the
+  // 256-deep K panel, with accumulate and A-packing both ways.
+  const Mnk shapes[] = {
+      {1, 1, 1},     {1, 17, 300},  {3, 5, 2},     {5, 13, 63},
+      {7, 23, 65},   {9, 37, 257},  {13, 49, 256}, {17, 53, 300},
+      {24, 96, 64},  {25, 100, 513}, {31, 70, 129}, {64, 1, 300},
+  };
+  ht::Rng rng(31);
+  for (const auto& s : shapes) {
+    const ht::Tensor a = rng.randn({s.m, s.k});
+    const ht::Tensor b = rng.randn({s.k, s.n});
+    const ht::Tensor c0 = rng.randn({s.m, s.n});
+    const ht::Tensor prod = naive_matmul(a, b);
+    const ht::Tensor prod_plus_c0 = ht::add(prod, c0);
+    for (bool pack : {true, false}) {
+      ht::kernels::set_gemm_pack_a(pack);
+      ht::Tensor out = c0;
+      gemm_on(*isa_, a, b, out, false);
+      EXPECT_TRUE(ht::allclose(out, prod, kRtol, kAtol))
+          << s.m << "x" << s.n << "x" << s.k << " pack=" << pack;
+      out = c0;
+      gemm_on(*isa_, a, b, out, true);
+      EXPECT_TRUE(ht::allclose(out, prod_plus_c0, kRtol, kAtol))
+          << "accumulate " << s.m << "x" << s.n << "x" << s.k
+          << " pack=" << pack;
+    }
+  }
+}
+
+TEST_P(KernelsIsa, BitIdenticalAcrossThreadCountsAndPacking) {
+  // Within one variant the row partition is by its MR only, and packing
+  // is a pure layout transform: EXPECT_EQ, not allclose.
+  const Mnk shapes[] = {{64, 48, 96}, {61, 67, 73}, {257, 33, 300}};
+  ht::Rng rng(32);
+  for (const auto& s : shapes) {
+    const ht::Tensor a = rng.randn({s.m, s.k});
+    const ht::Tensor b = rng.randn({s.k, s.n});
+    const ht::Tensor c0 = rng.randn({s.m, s.n});
+    for (bool accumulate : {false, true}) {
+      ht::Tensor ref = c0;
+      {
+        ht::IntraOpScope scope(1);
+        ht::kernels::set_gemm_pack_a(true);
+        gemm_on(*isa_, a, b, ref, accumulate);
+      }
+      for (bool pack : {true, false}) {
+        ht::kernels::set_gemm_pack_a(pack);
+        for (int threads : {1, 2, 4, 7}) {
+          ht::IntraOpScope scope(threads);
+          ht::Tensor out = c0;
+          gemm_on(*isa_, a, b, out, accumulate);
+          ASSERT_EQ(0, std::memcmp(ref.data(), out.data(),
+                                   static_cast<size_t>(ref.numel()) *
+                                       sizeof(float)))
+              << s.m << "x" << s.n << "x" << s.k << " threads=" << threads
+              << " pack=" << pack << " accumulate=" << accumulate;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, KernelsIsa,
+                         ::testing::Values("avx512f", "avx2", "baseline"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST(Kernels, DispatchesTheBestIsaTheHostSupports) {
+  std::string expect = "baseline";
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma")) {
+    expect = "avx512f";
+  } else if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    expect = "avx2";
+  }
+#endif
+  EXPECT_EQ(expect, ht::kernels::gemm_isa());
+  // Baseline is always compiled, always last, and runs everywhere.
+  const auto isas = ht::kernels::gemm_isas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_STREQ("baseline", isas.back().name);
+  EXPECT_TRUE(isas.back().host_supports);
 }
 
 TEST(Parallel, ParallelForCoversRangeExactlyOnce) {
