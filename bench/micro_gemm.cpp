@@ -104,7 +104,7 @@ static void BM_BlockedMatmul(benchmark::State& state) {
   ht::Tensor b = rng.randn({n, n});
   ht::Tensor c({n, n});
   for (auto _ : state) {
-    ht::matmul_into(a, b, c);
+    ht::kernels::gemm(n, n, n, a.data(), n, b.data(), n, c.data(), n, false);
     benchmark::DoNotOptimize(c.data());
   }
   set_flops(state, n);
@@ -143,7 +143,8 @@ static void BM_BlockedMatmulBt(benchmark::State& state) {
   ht::Tensor b = rng.randn({n, n});
   ht::Tensor c({n, n});
   for (auto _ : state) {
-    ht::matmul_bt_into(a, b, c);
+    ht::kernels::gemm_bt(n, n, n, a.data(), n, b.data(), n, c.data(), n,
+                         false);
     benchmark::DoNotOptimize(c.data());
   }
   set_flops(state, n);
@@ -168,45 +169,113 @@ static void BM_BlockedMatmulAt(benchmark::State& state) {
   ht::Tensor b = rng.randn({n, n});
   ht::Tensor c({n, n});
   for (auto _ : state) {
-    ht::matmul_at_into(a, b, c);
+    ht::kernels::gemm_at(n, n, n, a.data(), n, b.data(), n, c.data(), n,
+                         false);
     benchmark::DoNotOptimize(c.data());
   }
   set_flops(state, n);
 }
 BENCHMARK(BM_BlockedMatmulAt)->Arg(512)->Unit(benchmark::kMillisecond);
 
-// ---- A-panel packing (large-k decode shapes) ----------------------------
+// ---- large-k decode shapes ---------------------------------------------
 //
-// Packing copies each A panel into a contiguous MR-strided layout once and
-// streams the micro-kernel from the copy: past kPackMinK the copy cost is
-// amortised and the inner loop stops striding across full A rows. The
-// pack=0 rows time the identical kernel with packing forced off — the
-// before/after pair behind the BENCH_gemm packed-speedup claim. Shapes are
-// decode-like: skinny m, wide k (hidden → vocab projections).
+// Skinny m, wide k (hidden -> vocab projections): the micro-kernel reads A
+// in place with a stride of k floats per row.
 
 static void BM_MatmulLargeK(benchmark::State& state) {
   const int64_t m = state.range(0);
   const int64_t k = state.range(1);
-  const bool pack = state.range(2) != 0;
   const int64_t n = 256;
-  const bool saved = ht::kernels::gemm_pack_a();
-  ht::kernels::set_gemm_pack_a(pack);
   ht::IntraOpScope scope(1);
   ht::Rng rng(5);
   ht::Tensor a = rng.randn({m, k});
   ht::Tensor b = rng.randn({k, n});
   ht::Tensor c({m, n});
   for (auto _ : state) {
-    ht::matmul_into(a, b, c);
+    ht::kernels::gemm(m, n, k, a.data(), k, b.data(), n, c.data(), n, false);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
-  ht::kernels::set_gemm_pack_a(saved);
 }
 BENCHMARK(BM_MatmulLargeK)
-    ->ArgsProduct({{8, 64}, {1024, 4096}, {0, 1}})
-    ->ArgNames({"m", "k", "pack"})
+    ->ArgsProduct({{8, 64}, {1024, 4096}})
+    ->ArgNames({"m", "k"})
     ->Unit(benchmark::kMillisecond);
+
+// ---- Linear layer shapes (hidden 128, 32 rows per micro-batch) ----------
+//
+// The three gemms of model::Linear at the train-wide perfbench model's
+// widths: fwd y = x W (gemm), dx = dy W^T (gemm_bt), dW += x^T dy
+// (gemm_at, accumulating). Arguments are the layer's (rows, out, in) —
+// qkv 384/128, fc1 512/128, fc2 128/512 — and every row does 2*rows*out*in
+// FLOPs, so the three passes of one layer compare directly.
+
+namespace {
+
+struct LinearOperands {
+  int64_t rows, out, in;
+  ht::Tensor x, w, dy, y, dx, dw;
+  explicit LinearOperands(const benchmark::State& state)
+      : rows(state.range(0)), out(state.range(1)), in(state.range(2)) {
+    ht::Rng rng(6);
+    x = rng.randn({rows, in});
+    w = rng.randn({in, out});
+    dy = rng.randn({rows, out});
+    y = ht::Tensor({rows, out});
+    dx = ht::Tensor({rows, in});
+    dw = ht::Tensor({in, out});
+  }
+  int64_t flops() const { return 2 * rows * out * in; }
+};
+
+void linear_shapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"rows", "out", "in"})
+      ->Args({32, 384, 128})
+      ->Args({32, 512, 128})
+      ->Args({32, 128, 512})
+      ->Unit(benchmark::kMicrosecond);
+}
+
+}  // namespace
+
+static void BM_LinearFwd(benchmark::State& state) {
+  ht::IntraOpScope scope(1);
+  LinearOperands o(state);
+  for (auto _ : state) {
+    ht::kernels::gemm(o.rows, o.out, o.in, o.x.data(), o.in, o.w.data(),
+                      o.out, o.y.data(), o.out, false);
+    benchmark::DoNotOptimize(o.y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * o.flops());
+}
+BENCHMARK(BM_LinearFwd)->Apply(linear_shapes);
+
+static void BM_LinearDx(benchmark::State& state) {
+  ht::IntraOpScope scope(1);
+  LinearOperands o(state);
+  for (auto _ : state) {
+    ht::kernels::gemm_bt(o.rows, o.in, o.out, o.dy.data(), o.out, o.w.data(),
+                         o.out, o.dx.data(), o.in, false);
+    benchmark::DoNotOptimize(o.dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * o.flops());
+}
+BENCHMARK(BM_LinearDx)->Apply(linear_shapes);
+
+static void BM_LinearDw(benchmark::State& state) {
+  ht::IntraOpScope scope(1);
+  LinearOperands o(state);
+  for (auto _ : state) {
+    ht::kernels::gemm_at(o.in, o.out, o.rows, o.x.data(), o.in, o.dy.data(),
+                         o.out, o.dw.data(), o.out, true);
+    benchmark::DoNotOptimize(o.dw.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * o.flops());
+}
+BENCHMARK(BM_LinearDw)->Apply(linear_shapes);
 
 // ---- accumulate forms (gradient path: no temporary, no zero pass) -------
 
@@ -218,7 +287,8 @@ static void BM_MatmulAtAccum(benchmark::State& state) {
   ht::Tensor b = rng.randn({n, n});
   ht::Tensor grad({n, n});
   for (auto _ : state) {
-    ht::matmul_at_accum(a, b, grad);
+    ht::kernels::gemm_at(n, n, n, a.data(), n, b.data(), n, grad.data(), n,
+                         true);
     benchmark::DoNotOptimize(grad.data());
   }
   set_flops(state, n);

@@ -430,10 +430,15 @@ Tensor StageModule::forward(const Tensor& x, int mb) {
   Tensor h = x;
   for (auto& l : layers_) h = l->forward(h, mb);
   if (recompute_) {
-    for (auto& l : layers_) l->drop_cache(mb);
+    drop_cache(mb);
     saved_inputs_[mb] = x;
   }
   return h;
+}
+
+void StageModule::drop_cache(int mb) {
+  for (auto& l : layers_) l->drop_cache(mb);
+  saved_inputs_.erase(mb);
 }
 
 Tensor StageModule::backward(const Tensor& dy, int mb) {

@@ -174,6 +174,10 @@ class StageModule {
   Tensor forward(const Tensor& x, int mb);
   Tensor backward(const Tensor& dy, int mb);
 
+  /// Discards what `forward` saved for micro-batch `mb` — every layer's
+  /// cache and the recompute input — when no backward will follow.
+  void drop_cache(int mb);
+
   /// Incremental-decode forward through this stage's layers: nothing is
   /// saved for backward, attention layers extend their per-`slot` K/V rows
   /// in the KV store, and positional state is read at absolute offset

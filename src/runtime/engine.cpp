@@ -24,17 +24,6 @@ SequentialEngine::SequentialEngine(const model::ModelConfig& cfg,
   }
 }
 
-namespace {
-Tensor rows(const Tensor& t, int64_t row0, int64_t n) {
-  const int64_t cols = t.size(1);
-  Tensor out({n, cols});
-  for (int64_t r = 0; r < n; ++r) {
-    for (int64_t c = 0; c < cols; ++c) out.at(r, c) = t.at(row0 + r, c);
-  }
-  return out;
-}
-}  // namespace
-
 float SequentialEngine::train_step(const Batch& batch) {
   const int64_t expect = static_cast<int64_t>(micro_batches_) * mb_sequences_;
   if (batch.inputs.size(0) != expect) {
@@ -44,11 +33,10 @@ float SequentialEngine::train_step(const Batch& batch) {
   float total = 0.0f;
   for (int m = 0; m < micro_batches_; ++m) {
     const int64_t row0 = static_cast<int64_t>(m) * mb_sequences_;
-    Tensor x = rows(batch.inputs, row0, mb_sequences_);
-    Tensor tgt = rows(batch.targets, row0, mb_sequences_).reshaped(
-        {static_cast<int64_t>(mb_sequences_) * batch.targets.size(1)});
-    Tensor logits = module_.forward(x, m);
-    auto [loss, dlogits] = model::cross_entropy(logits, tgt, scale);
+    Tensor logits =
+        module_.forward(slice_rows(batch.inputs, row0, mb_sequences_), m);
+    auto [loss, dlogits] = model::cross_entropy(
+        logits, slice_rows(batch.targets, row0, mb_sequences_), scale);
     total += loss;
     module_.backward(dlogits, m);
   }
@@ -76,22 +64,21 @@ float SequentialEngine::train_step(const Batch& batch) {
 
 float SequentialEngine::eval(const Batch& batch) {
   const int64_t n = batch.inputs.size(0);
+  if (n % mb_sequences_ != 0) {
+    throw std::invalid_argument(
+        "SequentialEngine: eval rows not a multiple of mb_sequences");
+  }
   float total = 0.0f;
   int count = 0;
   for (int64_t row0 = 0; row0 < n; row0 += mb_sequences_, ++count) {
-    Tensor x = rows(batch.inputs, row0, mb_sequences_);
-    Tensor tgt = rows(batch.targets, row0, mb_sequences_).reshaped(
-        {static_cast<int64_t>(mb_sequences_) * batch.targets.size(1)});
-    Tensor logits = module_.forward(x, /*mb=*/10000 + count);
-    auto [loss, dlogits] = model::cross_entropy(logits, tgt, 1.0f);
-    (void)dlogits;
-    total += loss;
-    // Free the forward caches by running a zero backward? Cheaper: backward
-    // with zero gradient would still cost compute; instead run backward on
-    // the real gradient and discard grads afterwards.
-    module_.backward(dlogits, 10000 + count);
+    const int mb = 10000 + count;  // clear of train_step's micro-batch ids
+    Tensor logits =
+        module_.forward(slice_rows(batch.inputs, row0, mb_sequences_), mb);
+    module_.drop_cache(mb);
+    total += model::cross_entropy(
+                 logits, slice_rows(batch.targets, row0, mb_sequences_))
+                 .first;
   }
-  for (model::Param* p : module_.params()) p->zero_grad();
   return count > 0 ? total / static_cast<float>(count) : 0.0f;
 }
 

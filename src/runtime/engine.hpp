@@ -30,7 +30,9 @@ class SequentialEngine {
   /// Per-step learning-rate schedule; mirrors TrainerConfig::lr_schedule.
   void set_lr_schedule(model::LrSchedule s) { lr_schedule_ = s; }
 
-  /// Forward-only evaluation; returns mean loss.
+  /// Forward-only evaluation over groups of `mb_sequences` rows; returns
+  /// the mean of their losses. Gradients are left untouched and every
+  /// forward cache is freed.
   float eval(const Batch& batch);
 
   model::StageModule& module() { return module_; }

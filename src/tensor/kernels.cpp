@@ -1,9 +1,7 @@
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <stdexcept>
 #include <vector>
 
 #include "tensor/arena.hpp"
@@ -21,28 +19,12 @@ constexpr int64_t KU = 2;
 // Problems below this many flops are not worth a trip through the pool.
 constexpr int64_t kParallelFlops = int64_t{1} << 18;
 
-// A-panel packing engages for k at least this deep: below it the pack
-// traffic (m*k extra reads+writes) outweighs the contiguous-load win in
-// the micro-kernel. Decode-shaped gemms (m = 1, no full MR block) never
-// pack regardless.
-constexpr int64_t kPackMinK = 64;
-
-std::atomic<bool> g_pack_a{true};
-
-// Pack-panel scratch. Two independent pools because they nest: gemm_bt
-// holds its transposed-B panel across the inner gemm call, whose
-// gemm_rows may pack A on the same thread — one shared buffer would be
-// clobbered mid-product. When the calling thread has an active
-// pass-lifetime arena the panel comes from it under a LIFO mark/rewind
-// (the B mark strictly encloses the A mark, so rewinds pair up); without
-// one (pool worker threads, cold paths) a grow-only thread_local backs it
-// with geometric growth, so steady state allocates nothing either way.
-std::vector<float>& pack_fallback_b() {
-  thread_local std::vector<float> v;
-  return v;
-}
-
-std::vector<float>& pack_fallback_a() {
+// Transposed-operand scratch for gemm_bt/gemm_at. When the calling thread
+// has an active pass-lifetime arena the panel comes from it under a LIFO
+// mark/rewind; without one (pool worker threads, cold paths) a grow-only
+// thread_local backs it with geometric growth, so steady state allocates
+// nothing either way.
+std::vector<float>& pack_fallback() {
   thread_local std::vector<float> v;
   return v;
 }
@@ -147,7 +129,7 @@ void gemm_bt(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
              const float* b, int64_t ldb, float* c, int64_t ldc,
              bool accumulate) {
   if (m <= 0 || n <= 0) return;
-  ScratchBuffer pack(k * n, pack_fallback_b());
+  ScratchBuffer pack(k * n, pack_fallback());
   float* bt = pack.data();
   transpose_pack(b, n, k, ldb, bt);  // n x k -> k x n
   gemm(m, n, k, a, lda, bt, n, c, ldc, accumulate);
@@ -157,17 +139,11 @@ void gemm_at(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
              const float* b, int64_t ldb, float* c, int64_t ldc,
              bool accumulate) {
   if (m <= 0 || n <= 0) return;
-  ScratchBuffer pack(k * m, pack_fallback_b());
+  ScratchBuffer pack(k * m, pack_fallback());
   float* at = pack.data();
   transpose_pack(a, k, m, lda, at);  // k x m -> m x k
   gemm(m, n, k, at, k, b, ldb, c, ldc, accumulate);
 }
-
-void set_gemm_pack_a(bool on) {
-  g_pack_a.store(on, std::memory_order_relaxed);
-}
-
-bool gemm_pack_a() { return g_pack_a.load(std::memory_order_relaxed); }
 
 void transpose_pack(const float* src, int64_t rows, int64_t cols, int64_t ld,
                     float* dst) {
@@ -185,86 +161,3 @@ void transpose_pack(const float* src, int64_t rows, int64_t cols, int64_t ld,
 }
 
 }  // namespace hanayo::tensor::kernels
-
-namespace hanayo::tensor {
-
-namespace {
-
-void check_2d(const Tensor& t, const char* who) {
-  if (t.dim() != 2) {
-    throw std::invalid_argument(std::string(who) + ": need 2-d tensor");
-  }
-}
-
-void check_out(const Tensor& out, int64_t m, int64_t n, const char* who) {
-  if (out.dim() != 2 || out.size(0) != m || out.size(1) != n) {
-    throw std::invalid_argument(std::string(who) + ": output must be " +
-                                std::to_string(m) + "x" + std::to_string(n) +
-                                ", got " + out.shape_str());
-  }
-}
-
-}  // namespace
-
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  check_2d(a, "matmul_into");
-  check_2d(b, "matmul_into");
-  const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  if (b.size(0) != k) throw std::invalid_argument("matmul_into: inner dim mismatch");
-  check_out(out, m, n, "matmul_into");
-  kernels::gemm(m, n, k, a.data(), k, b.data(), n, out.data(), n, false);
-}
-
-void matmul_accum(const Tensor& a, const Tensor& b, Tensor& out) {
-  check_2d(a, "matmul_accum");
-  check_2d(b, "matmul_accum");
-  const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  if (b.size(0) != k) throw std::invalid_argument("matmul_accum: inner dim mismatch");
-  check_out(out, m, n, "matmul_accum");
-  kernels::gemm(m, n, k, a.data(), k, b.data(), n, out.data(), n, true);
-}
-
-void matmul_bt_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  check_2d(a, "matmul_bt_into");
-  check_2d(b, "matmul_bt_into");
-  const int64_t m = a.size(0), k = a.size(1), n = b.size(0);
-  if (b.size(1) != k) throw std::invalid_argument("matmul_bt_into: inner dim mismatch");
-  check_out(out, m, n, "matmul_bt_into");
-  kernels::gemm_bt(m, n, k, a.data(), k, b.data(), k, out.data(), n, false);
-}
-
-void matmul_bt_accum(const Tensor& a, const Tensor& b, Tensor& out) {
-  check_2d(a, "matmul_bt_accum");
-  check_2d(b, "matmul_bt_accum");
-  const int64_t m = a.size(0), k = a.size(1), n = b.size(0);
-  if (b.size(1) != k) throw std::invalid_argument("matmul_bt_accum: inner dim mismatch");
-  check_out(out, m, n, "matmul_bt_accum");
-  kernels::gemm_bt(m, n, k, a.data(), k, b.data(), k, out.data(), n, true);
-}
-
-void matmul_at_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  check_2d(a, "matmul_at_into");
-  check_2d(b, "matmul_at_into");
-  const int64_t k = a.size(0), m = a.size(1), n = b.size(1);
-  if (b.size(0) != k) throw std::invalid_argument("matmul_at_into: inner dim mismatch");
-  check_out(out, m, n, "matmul_at_into");
-  kernels::gemm_at(m, n, k, a.data(), m, b.data(), n, out.data(), n, false);
-}
-
-void matmul_at_accum(const Tensor& a, const Tensor& b, Tensor& out) {
-  check_2d(a, "matmul_at_accum");
-  check_2d(b, "matmul_at_accum");
-  const int64_t k = a.size(0), m = a.size(1), n = b.size(1);
-  if (b.size(0) != k) throw std::invalid_argument("matmul_at_accum: inner dim mismatch");
-  check_out(out, m, n, "matmul_at_accum");
-  kernels::gemm_at(m, n, k, a.data(), m, b.data(), n, out.data(), n, true);
-}
-
-void transpose_into(const Tensor& a, Tensor& out) {
-  check_2d(a, "transpose_into");
-  const int64_t m = a.size(0), n = a.size(1);
-  check_out(out, n, m, "transpose_into");
-  kernels::transpose_pack(a.data(), m, n, n, out.data());
-}
-
-}  // namespace hanayo::tensor

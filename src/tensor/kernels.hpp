@@ -1,12 +1,13 @@
 #pragma once
 // Blocked, SIMD-friendly compute kernels for the tensor substrate.
 //
-// The raw `kernels::gemm*` entry points operate on strided float panels so
-// the model layer can multiply slices of larger tensors (per-head Q/K/V
-// panels inside a [b, t, 3h] projection, weight matrices inside parameter
-// structs) without materialising transposes or copies. The Tensor-level
-// `*_into` / `*_accum` wrappers write into caller-owned outputs and
-// accumulate into gradients without temporaries.
+// The `kernels::gemm*` entry points operate on strided float panels so the
+// model layer can multiply slices of larger tensors (per-head Q/K/V panels
+// inside a [b, t, 3h] projection, weight matrices inside parameter structs)
+// without materialising transposes or copies, writing into caller-owned
+// outputs or accumulating into gradients without temporaries. The
+// allocating Tensor-level forms (matmul, matmul_bt, matmul_at) are in
+// ops.hpp.
 //
 // The GEMM micro-kernel is built for several x86 targets (AVX-512F,
 // AVX2+FMA, and a baseline tile for any CPU) and picks the best one the
@@ -17,11 +18,11 @@
 // thread count. Threads partition output *rows* in whole register-tile
 // blocks only, so within one dispatched ISA the per-element reduction
 // order never changes: results are bit-identical for 1 and N intra-op
-// threads and with A-packing on or off — the property the
-// Threads-vs-Reference session equivalence tests rely on. Across ISAs the
-// last bits may differ (fused multiply-add vs separate multiply and add).
+// threads — the property the Threads-vs-Reference session equivalence
+// tests rely on. Across ISAs the last bits may differ (fused multiply-add
+// vs separate multiply and add).
 
-#include "tensor/tensor.hpp"
+#include <cstdint>
 
 namespace hanayo::tensor::kernels {
 
@@ -51,37 +52,8 @@ void gemm_at(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 void transpose_pack(const float* src, int64_t rows, int64_t cols, int64_t ld,
                     float* dst);
 
-/// A-panel packing toggle (default on). When enabled, large-k gemms copy
-/// each thread's full-MR row blocks of A into contiguous MR-strided
-/// panels once and stream the micro-kernel from the packed copy — same
-/// values, same ascending-k per-element FMA order, so results stay
-/// bitwise identical to the unpacked path (the bench and the kernel
-/// tests A/B this switch to prove both claims).
-void set_gemm_pack_a(bool on);
-bool gemm_pack_a();
-
 /// The instruction set the GEMM micro-kernel dispatched to on this host:
 /// "avx512f", "avx2" or "baseline".
 const char* gemm_isa();
 
 }  // namespace hanayo::tensor::kernels
-
-namespace hanayo::tensor {
-
-/// out (m x n) = a (m x k) * b (k x n); out must be pre-shaped {m, n}.
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out);
-/// out += a * b (gradient accumulation without a temporary).
-void matmul_accum(const Tensor& a, const Tensor& b, Tensor& out);
-
-/// out (m x n) = a (m x k) * b^T with b (n x k).
-void matmul_bt_into(const Tensor& a, const Tensor& b, Tensor& out);
-void matmul_bt_accum(const Tensor& a, const Tensor& b, Tensor& out);
-
-/// out (m x n) = a^T * b with a (k x m), b (k x n).
-void matmul_at_into(const Tensor& a, const Tensor& b, Tensor& out);
-void matmul_at_accum(const Tensor& a, const Tensor& b, Tensor& out);
-
-/// out (n x m) = transpose of 2-d a (m x n); out must be pre-shaped.
-void transpose_into(const Tensor& a, Tensor& out);
-
-}  // namespace hanayo::tensor

@@ -52,7 +52,8 @@ Tensor matmul_at(const Tensor& a, const Tensor& b) {
 Tensor transpose(const Tensor& a) {
   check_2d(a, "transpose");
   Tensor t({a.size(1), a.size(0)});
-  transpose_into(a, t);
+  kernels::transpose_pack(a.data(), a.size(0), a.size(1), a.size(1),
+                          t.data());
   return t;
 }
 

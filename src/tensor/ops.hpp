@@ -6,8 +6,8 @@
 // per-element summation order that is independent of blocking and thread
 // count — determinism still matters more than raw speed, because the test
 // suite compares pipeline-parallel training against a sequential baseline.
-// Hot paths that want to avoid the returned temporaries should call the
-// `*_into` / `*_accum` forms in tensor/kernels.hpp directly.
+// Hot paths that want to avoid the returned temporaries call the strided
+// `kernels::gemm*` entry points in tensor/kernels.hpp directly.
 
 #include "tensor/tensor.hpp"
 

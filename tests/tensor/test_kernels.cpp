@@ -50,13 +50,12 @@ constexpr float kAtol = 1e-5f;
 
 }  // namespace
 
-TEST(Kernels, MatmulIntoMatchesNaiveAcrossShapes) {
+TEST(Kernels, MatmulMatchesNaiveAcrossShapes) {
   ht::Rng rng(11);
   for (const auto& s : kShapes) {
     ht::Tensor a = rng.randn({s.m, s.k});
     ht::Tensor b = rng.randn({s.k, s.n});
-    ht::Tensor out({s.m, s.n});
-    ht::matmul_into(a, b, out);
+    const ht::Tensor out = ht::matmul(a, b);
     EXPECT_TRUE(ht::allclose(out, naive_matmul(a, b), kRtol, kAtol))
         << s.m << "x" << s.n << "x" << s.k;
   }
@@ -68,26 +67,25 @@ TEST(Kernels, MatmulBtAndAtMatchNaiveAcrossShapes) {
     ht::Tensor a = rng.randn({s.m, s.k});
     ht::Tensor b = rng.randn({s.k, s.n});
     const ht::Tensor ref = naive_matmul(a, b);
-    ht::Tensor out({s.m, s.n});
-    ht::matmul_bt_into(a, ht::transpose(b), out);
+    ht::Tensor out = ht::matmul_bt(a, ht::transpose(b));
     EXPECT_TRUE(ht::allclose(out, ref, kRtol, kAtol))
         << "bt " << s.m << "x" << s.n << "x" << s.k;
-    ht::matmul_at_into(ht::transpose(a), b, out);
+    out = ht::matmul_at(ht::transpose(a), b);
     EXPECT_TRUE(ht::allclose(out, ref, kRtol, kAtol))
         << "at " << s.m << "x" << s.n << "x" << s.k;
   }
 }
 
 TEST(Kernels, EmptyExtentsAreHandled) {
-  // k = 0: the product is all zeros (and _into must overwrite stale data).
+  // k = 0: the product is all zeros (and an overwriting gemm must clear
+  // stale data).
   ht::Tensor a({3, 0});
   ht::Tensor b({0, 4});
   ht::Tensor out({3, 4}, 7.0f);
-  ht::matmul_into(a, b, out);
+  ht::kernels::gemm(3, 4, 0, a.data(), 0, b.data(), 4, out.data(), 4, false);
   for (float v : out.flat()) EXPECT_EQ(v, 0.0f);
   // m = 0 / n = 0: no output, no crash.
-  ht::Tensor none({0, 4});
-  ht::matmul_into(ht::Tensor({0, 2}), ht::Tensor({2, 4}), none);
+  const ht::Tensor none = ht::matmul(ht::Tensor({0, 2}), ht::Tensor({2, 4}));
   EXPECT_EQ(none.numel(), 0);
 }
 
@@ -98,17 +96,22 @@ TEST(Kernels, AccumFormsAddOntoExistingOutput) {
   const ht::Tensor prod = naive_matmul(a, b);
 
   ht::Tensor acc({9, 14}, 1.5f);
-  ht::matmul_accum(a, b, acc);
+  ht::kernels::gemm(9, 14, 23, a.data(), 23, b.data(), 14, acc.data(), 14,
+                    true);
   ht::Tensor expect = ht::add_scalar(prod, 1.5f);
   EXPECT_TRUE(ht::allclose(acc, expect, kRtol, kAtol));
 
   // bt/at accumulate forms agree with prod + prior contents too.
+  const ht::Tensor bt = ht::transpose(b);
   ht::Tensor acc_bt({9, 14}, -0.25f);
-  ht::matmul_bt_accum(a, ht::transpose(b), acc_bt);
+  ht::kernels::gemm_bt(9, 14, 23, a.data(), 23, bt.data(), 23, acc_bt.data(),
+                       14, true);
   EXPECT_TRUE(ht::allclose(acc_bt, ht::add_scalar(prod, -0.25f), kRtol, kAtol));
 
+  const ht::Tensor at = ht::transpose(a);
   ht::Tensor acc_at({9, 14}, 2.0f);
-  ht::matmul_at_accum(ht::transpose(a), b, acc_at);
+  ht::kernels::gemm_at(9, 14, 23, at.data(), 9, b.data(), 14, acc_at.data(),
+                       14, true);
   EXPECT_TRUE(ht::allclose(acc_at, ht::add_scalar(prod, 2.0f), kRtol, kAtol));
 }
 
@@ -117,7 +120,9 @@ TEST(Kernels, RepeatedAccumEqualsScaledProduct) {
   ht::Tensor a = rng.randn({6, 31});
   ht::Tensor b = rng.randn({31, 6});
   ht::Tensor grad({6, 6});
-  for (int i = 0; i < 3; ++i) ht::matmul_accum(a, b, grad);
+  for (int i = 0; i < 3; ++i)
+    ht::kernels::gemm(6, 6, 31, a.data(), 31, b.data(), 6, grad.data(), 6,
+                      true);
   ht::Tensor expect = ht::mul_scalar(naive_matmul(a, b), 3.0f);
   EXPECT_TRUE(ht::allclose(grad, expect, 3e-4f, 3e-5f));
 }
@@ -134,19 +139,18 @@ TEST(Kernels, BitIdenticalAcrossIntraOpThreadCounts) {
     ht::Tensor bt = ht::transpose(b);
     ht::Tensor at = ht::transpose(a);
 
-    ht::Tensor r1({s.m, s.n}), r1bt({s.m, s.n}), r1at({s.m, s.n});
+    ht::Tensor r1, r1bt, r1at;
     {
       ht::IntraOpScope scope(1);
-      ht::matmul_into(a, b, r1);
-      ht::matmul_bt_into(a, bt, r1bt);
-      ht::matmul_at_into(at, b, r1at);
+      r1 = ht::matmul(a, b);
+      r1bt = ht::matmul_bt(a, bt);
+      r1at = ht::matmul_at(at, b);
     }
     for (int threads : {2, 4, 7}) {
       ht::IntraOpScope scope(threads);
-      ht::Tensor rn({s.m, s.n}), rnbt({s.m, s.n}), rnat({s.m, s.n});
-      ht::matmul_into(a, b, rn);
-      ht::matmul_bt_into(a, bt, rnbt);
-      ht::matmul_at_into(at, b, rnat);
+      const ht::Tensor rn = ht::matmul(a, b);
+      const ht::Tensor rnbt = ht::matmul_bt(a, bt);
+      const ht::Tensor rnat = ht::matmul_at(at, b);
       for (int64_t i = 0; i < rn.numel(); ++i) {
         ASSERT_EQ(r1[i], rn[i]) << "threads=" << threads << " i=" << i;
         ASSERT_EQ(r1bt[i], rnbt[i]) << "bt threads=" << threads << " i=" << i;
@@ -154,50 +158,6 @@ TEST(Kernels, BitIdenticalAcrossIntraOpThreadCounts) {
       }
     }
   }
-}
-
-TEST(Kernels, PackToggleIsBitIdentical) {
-  // A-panel packing is a pure layout transform: the micro-kernel streams
-  // the same scalar values in the same ascending-k order from a contiguous
-  // MR-strided copy, so toggling it must not change a single bit — across
-  // thread counts too. Shapes straddle kPackMinK (packing engages on
-  // large-k only) and include remainder rows/cols.
-  ht::Rng rng(23);
-  const Mnk shapes[] = {{7, 17, 9}, {48, 48, 64}, {61, 67, 300}, {1, 64, 257}};
-  const bool saved = ht::kernels::gemm_pack_a();
-  for (const auto& s : shapes) {
-    ht::Tensor a = rng.randn({s.m, s.k});
-    ht::Tensor b = rng.randn({s.k, s.n});
-    ht::Tensor bt = ht::transpose(b);
-    ht::Tensor at = ht::transpose(a);
-
-    ht::Tensor packed({s.m, s.n}), pbt({s.m, s.n}), pat({s.m, s.n});
-    ht::kernels::set_gemm_pack_a(true);
-    ht::matmul_into(a, b, packed);
-    ht::matmul_bt_into(a, bt, pbt);
-    ht::matmul_at_into(at, b, pat);
-
-    ht::Tensor plain({s.m, s.n}), ubt({s.m, s.n}), uat({s.m, s.n});
-    ht::kernels::set_gemm_pack_a(false);
-    ht::matmul_into(a, b, plain);
-    ht::matmul_bt_into(a, bt, ubt);
-    ht::matmul_at_into(at, b, uat);
-
-    ht::kernels::set_gemm_pack_a(true);
-    ht::Tensor pthr({s.m, s.n});
-    {
-      ht::IntraOpScope scope(4);
-      ht::matmul_into(a, b, pthr);
-    }
-
-    for (int64_t i = 0; i < packed.numel(); ++i) {
-      ASSERT_EQ(packed[i], plain[i]) << "m=" << s.m << " i=" << i;
-      ASSERT_EQ(pbt[i], ubt[i]) << "bt m=" << s.m << " i=" << i;
-      ASSERT_EQ(pat[i], uat[i]) << "at m=" << s.m << " i=" << i;
-      ASSERT_EQ(packed[i], pthr[i]) << "threads m=" << s.m << " i=" << i;
-    }
-  }
-  ht::kernels::set_gemm_pack_a(saved);
 }
 
 TEST(Kernels, RowWiseOpsBitIdenticalAcrossThreadCounts) {
@@ -240,8 +200,7 @@ TEST(Kernels, StridedPanelsMultiplyCorrectly) {
       q.at(i, d) = panel.at(i, d);
       k.at(i, d) = panel.at(i, dk + d);
     }
-  ht::Tensor dense({t, t});
-  ht::matmul_bt_into(q, k, dense);
+  const ht::Tensor dense = ht::matmul_bt(q, k);
 
   ht::Tensor strided({t, t});
   ht::kernels::gemm_bt(t, t, dk, panel.data(), wide, panel.data() + dk, wide,
@@ -249,24 +208,18 @@ TEST(Kernels, StridedPanelsMultiplyCorrectly) {
   for (int64_t i = 0; i < dense.numel(); ++i) ASSERT_EQ(dense[i], strided[i]);
 }
 
-TEST(Kernels, TransposeIntoMatchesElementwise) {
+TEST(Kernels, TransposeMatchesElementwise) {
   ht::Rng rng(18);
   ht::Tensor a = rng.randn({37, 53});
-  ht::Tensor t({53, 37});
-  ht::transpose_into(a, t);
+  const ht::Tensor t = ht::transpose(a);
   for (int64_t i = 0; i < 37; ++i)
     for (int64_t j = 0; j < 53; ++j) ASSERT_EQ(t.at(j, i), a.at(i, j));
 }
 
-TEST(Kernels, IntoFormsRejectBadOutputShapes) {
+TEST(Kernels, MatmulRejectsInnerDimMismatch) {
   ht::Tensor a({2, 3});
-  ht::Tensor b({3, 4});
-  ht::Tensor wrong({4, 2});
-  EXPECT_THROW(ht::matmul_into(a, b, wrong), std::invalid_argument);
-  EXPECT_THROW(ht::matmul_accum(a, b, wrong), std::invalid_argument);
   ht::Tensor bad_inner({4, 4});
-  ht::Tensor out({2, 4});
-  EXPECT_THROW(ht::matmul_into(a, bad_inner, out), std::invalid_argument);
+  EXPECT_THROW(ht::matmul(a, bad_inner), std::invalid_argument);
 }
 
 namespace {
@@ -299,22 +252,17 @@ class KernelsIsa : public ::testing::TestWithParam<const char*> {
     std::string why;
     isa_ = runnable_isa(GetParam(), &why);
     if (isa_ == nullptr) GTEST_SKIP() << why;
-    saved_pack_ = ht::kernels::gemm_pack_a();
-  }
-  void TearDown() override {
-    if (isa_ != nullptr) ht::kernels::set_gemm_pack_a(saved_pack_);
   }
 
   const ht::kernels::GemmIsa* isa_ = nullptr;
-  bool saved_pack_ = true;
 };
 
 }  // namespace
 
 TEST_P(KernelsIsa, MatchesNaiveOnRaggedShapes) {
   // m, n, k off every tile multiple (MR 4/6/8, NR 12/16/48, VLEN 4/8/16),
-  // exact multiples, k straddling the packing threshold (64) and the
-  // 256-deep K panel, with accumulate and A-packing both ways.
+  // exact multiples, k straddling 64 and the 256-deep K panel, with
+  // accumulate both ways.
   const Mnk shapes[] = {
       {1, 1, 1},     {1, 17, 300},  {3, 5, 2},     {5, 13, 63},
       {7, 23, 65},   {9, 37, 257},  {13, 49, 256}, {17, 53, 300},
@@ -327,24 +275,20 @@ TEST_P(KernelsIsa, MatchesNaiveOnRaggedShapes) {
     const ht::Tensor c0 = rng.randn({s.m, s.n});
     const ht::Tensor prod = naive_matmul(a, b);
     const ht::Tensor prod_plus_c0 = ht::add(prod, c0);
-    for (bool pack : {true, false}) {
-      ht::kernels::set_gemm_pack_a(pack);
-      ht::Tensor out = c0;
-      gemm_on(*isa_, a, b, out, false);
-      EXPECT_TRUE(ht::allclose(out, prod, kRtol, kAtol))
-          << s.m << "x" << s.n << "x" << s.k << " pack=" << pack;
-      out = c0;
-      gemm_on(*isa_, a, b, out, true);
-      EXPECT_TRUE(ht::allclose(out, prod_plus_c0, kRtol, kAtol))
-          << "accumulate " << s.m << "x" << s.n << "x" << s.k
-          << " pack=" << pack;
-    }
+    ht::Tensor out = c0;
+    gemm_on(*isa_, a, b, out, false);
+    EXPECT_TRUE(ht::allclose(out, prod, kRtol, kAtol))
+        << s.m << "x" << s.n << "x" << s.k;
+    out = c0;
+    gemm_on(*isa_, a, b, out, true);
+    EXPECT_TRUE(ht::allclose(out, prod_plus_c0, kRtol, kAtol))
+        << "accumulate " << s.m << "x" << s.n << "x" << s.k;
   }
 }
 
-TEST_P(KernelsIsa, BitIdenticalAcrossThreadCountsAndPacking) {
-  // Within one variant the row partition is by its MR only, and packing
-  // is a pure layout transform: EXPECT_EQ, not allclose.
+TEST_P(KernelsIsa, BitIdenticalAcrossThreadCounts) {
+  // Within one variant the row partition is by its MR only: EXPECT_EQ, not
+  // allclose.
   const Mnk shapes[] = {{64, 48, 96}, {61, 67, 73}, {257, 33, 300}};
   ht::Rng rng(32);
   for (const auto& s : shapes) {
@@ -355,21 +299,17 @@ TEST_P(KernelsIsa, BitIdenticalAcrossThreadCountsAndPacking) {
       ht::Tensor ref = c0;
       {
         ht::IntraOpScope scope(1);
-        ht::kernels::set_gemm_pack_a(true);
         gemm_on(*isa_, a, b, ref, accumulate);
       }
-      for (bool pack : {true, false}) {
-        ht::kernels::set_gemm_pack_a(pack);
-        for (int threads : {1, 2, 4, 7}) {
-          ht::IntraOpScope scope(threads);
-          ht::Tensor out = c0;
-          gemm_on(*isa_, a, b, out, accumulate);
-          ASSERT_EQ(0, std::memcmp(ref.data(), out.data(),
-                                   static_cast<size_t>(ref.numel()) *
-                                       sizeof(float)))
-              << s.m << "x" << s.n << "x" << s.k << " threads=" << threads
-              << " pack=" << pack << " accumulate=" << accumulate;
-        }
+      for (int threads : {1, 2, 4, 7}) {
+        ht::IntraOpScope scope(threads);
+        ht::Tensor out = c0;
+        gemm_on(*isa_, a, b, out, accumulate);
+        ASSERT_EQ(0, std::memcmp(ref.data(), out.data(),
+                                 static_cast<size_t>(ref.numel()) *
+                                     sizeof(float)))
+            << s.m << "x" << s.n << "x" << s.k << " threads=" << threads
+            << " accumulate=" << accumulate;
       }
     }
   }
