@@ -96,6 +96,16 @@ static void BM_Gelu(benchmark::State& state) {
 }
 BENCHMARK(BM_Gelu);
 
+static void BM_GeluGrad(benchmark::State& state) {
+  ht::Rng rng(3);
+  ht::Tensor x = rng.randn({1 << 16});
+  ht::Tensor dy = rng.randn({1 << 16});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ht::gelu_grad(x, dy));
+  }
+}
+BENCHMARK(BM_GeluGrad);
+
 static void BM_Randn(benchmark::State& state) {
   ht::Rng rng(4);
   for (auto _ : state) {

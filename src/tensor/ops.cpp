@@ -1,5 +1,6 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -17,6 +18,23 @@ void check_2d(const Tensor& t, const char* who) {
 // the intra-op pool (each index is independent, so any split is exact).
 constexpr int64_t kRowGrain = 16;
 constexpr int64_t kElemGrain = 1 << 14;
+
+// dst (cols x rows, dense) = transpose of src (rows x cols, dense), in
+// 8 x 8 tiles: a tile writes 8 destination rows, few enough to share the
+// L1 even when the row stride is a large power of two, where wider tiles
+// evict each other's lines.
+void transpose_tiled(const float* src, int64_t rows, int64_t cols,
+                     float* dst) {
+  constexpr int64_t BT = 8;
+  for (int64_t r0 = 0; r0 < rows; r0 += BT) {
+    const int64_t r1 = std::min(r0 + BT, rows);
+    for (int64_t c0 = 0; c0 < cols; c0 += BT) {
+      const int64_t c1 = std::min(c0 + BT, cols);
+      for (int64_t c = c0; c < c1; ++c)
+        for (int64_t r = r0; r < r1; ++r) dst[c * rows + r] = src[r * cols + c];
+    }
+  }
+}
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -24,7 +42,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   check_2d(b, "matmul");
   const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
   if (b.size(0) != k) throw std::invalid_argument("matmul: inner dim mismatch");
-  Tensor c({m, n});
+  Tensor c = Tensor::uninitialized({m, n});
   kernels::gemm(m, n, k, a.data(), k, b.data(), n, c.data(), n, false);
   return c;
 }
@@ -34,7 +52,7 @@ Tensor matmul_bt(const Tensor& a, const Tensor& b) {
   check_2d(b, "matmul_bt");
   const int64_t m = a.size(0), k = a.size(1), n = b.size(0);
   if (b.size(1) != k) throw std::invalid_argument("matmul_bt: inner dim mismatch");
-  Tensor c({m, n});
+  Tensor c = Tensor::uninitialized({m, n});
   kernels::gemm_bt(m, n, k, a.data(), k, b.data(), k, c.data(), n, false);
   return c;
 }
@@ -44,16 +62,15 @@ Tensor matmul_at(const Tensor& a, const Tensor& b) {
   check_2d(b, "matmul_at");
   const int64_t k = a.size(0), m = a.size(1), n = b.size(1);
   if (b.size(0) != k) throw std::invalid_argument("matmul_at: inner dim mismatch");
-  Tensor c({m, n});
+  Tensor c = Tensor::uninitialized({m, n});
   kernels::gemm_at(m, n, k, a.data(), m, b.data(), n, c.data(), n, false);
   return c;
 }
 
 Tensor transpose(const Tensor& a) {
   check_2d(a, "transpose");
-  Tensor t({a.size(1), a.size(0)});
-  kernels::transpose_pack(a.data(), a.size(0), a.size(1), a.size(1),
-                          t.data());
+  Tensor t = Tensor::uninitialized({a.size(1), a.size(0)});
+  transpose_tiled(a.data(), a.size(0), a.size(1), t.data());
   return t;
 }
 
@@ -168,39 +185,24 @@ Tensor softmax_lastdim(const Tensor& a) {
   return out;
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-}
-
 Tensor gelu(const Tensor& a) {
-  Tensor out = a;
-  float* data = out.data();
-  parallel_for(out.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float x = data[i];
-      const float t = std::tanh(kGeluC * (x + 0.044715f * x * x * x));
-      data[i] = 0.5f * x * (1.0f + t);
-    }
+  Tensor out = Tensor::uninitialized(a.shape());
+  const float* x = a.data();
+  float* y = out.data();
+  parallel_for(a.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
+    kernels::gelu(x + i0, y + i0, i1 - i0);
   });
   return out;
 }
 
 Tensor gelu_grad(const Tensor& x, const Tensor& dy) {
   if (!x.same_shape(dy)) throw std::invalid_argument("gelu_grad: shape mismatch");
-  Tensor dx(x.shape());
+  Tensor dx = Tensor::uninitialized(x.shape());
   const float* xp = x.data();
   const float* dyp = dy.data();
   float* dxp = dx.data();
   parallel_for(x.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float v = xp[i];
-      const float inner = kGeluC * (v + 0.044715f * v * v * v);
-      const float t = std::tanh(inner);
-      const float sech2 = 1.0f - t * t;
-      const float dinner = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
-      const float g = 0.5f * (1.0f + t) + 0.5f * v * sech2 * dinner;
-      dxp[i] = dyp[i] * g;
-    }
+    kernels::gelu_grad(xp + i0, dyp + i0, dxp + i0, i1 - i0);
   });
   return dx;
 }

@@ -56,6 +56,10 @@ float max_abs(const Tensor& a);
 Tensor softmax_lastdim(const Tensor& a);
 
 /// GELU (tanh approximation) and its derivative given the forward input.
+/// tanh itself is a vectorised rational approximation (kernels::gelu):
+/// max abs error 3.3e-7 against libm's double tanh, exactly +-1 for
+/// |arg| >= 7.905, so gelu and gelu_grad stay within 1e-5 * max(1, |x|) of
+/// the double-precision formula. Bitwise stable across thread counts.
 Tensor gelu(const Tensor& a);
 Tensor gelu_grad(const Tensor& x, const Tensor& dy);
 

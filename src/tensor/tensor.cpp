@@ -101,6 +101,14 @@ Tensor::Tensor(Shape shape, float fill)
   this->fill(fill);
 }
 
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor t;
+  t.shape_ = shape;
+  t.data_ = Buffer(shape_numel(shape));
+  t.last_dim_ = shape.empty() ? 0 : shape.back();
+  return t;
+}
+
 Tensor::Tensor(Shape shape, const std::vector<float>& data)
     : shape_(shape),
       data_(shape_numel(shape_)),

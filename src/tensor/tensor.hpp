@@ -105,6 +105,9 @@ class Tensor {
   static Tensor zeros(Shape shape) { return Tensor(shape, 0.0f); }
   static Tensor ones(Shape shape) { return Tensor(shape, 1.0f); }
   static Tensor full(Shape shape, float v) { return Tensor(shape, v); }
+  /// A tensor of the given shape whose elements are left unset, for an
+  /// output that a kernel overwrites in full before anything reads it.
+  static Tensor uninitialized(Shape shape);
 
   /// Number of elements.
   int64_t numel() const { return data_.size(); }

@@ -2,11 +2,15 @@
 // divide the register/cache blocks, degenerate extents, the accumulate
 // forms, and the determinism contract — bit-identical results for 1 vs N
 // intra-op threads. The KernelsIsa suite repeats the checks for every
-// per-ISA variant of the micro-kernel the host can run.
+// per-ISA variant of the micro-kernel the host can run, pins the
+// transposed layouts bitwise to the plain gemm, and checks the vectorised
+// GELU against a double-precision reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -186,6 +190,27 @@ TEST(Kernels, RowWiseOpsBitIdenticalAcrossThreadCounts) {
     }
     for (int64_t j = 0; j < cs1.numel(); ++j) ASSERT_EQ(cs1[j], csn[j]) << j;
   }
+
+  // 129 x 65 is under gelu's parallel grain (16384 elements), so the case
+  // above runs inline at every thread count. 40001 elements split into
+  // chunks whose boundaries fall mid-vector.
+  const ht::Tensor big = rng.randn({40001});
+  const ht::Tensor dbig = rng.randn({40001});
+  ht::Tensor g1, gg1;
+  {
+    ht::IntraOpScope scope(1);
+    g1 = ht::gelu(big);
+    gg1 = ht::gelu_grad(big, dbig);
+  }
+  const size_t bytes = static_cast<size_t>(big.numel()) * sizeof(float);
+  for (int threads : {2, 4, 7}) {
+    ht::IntraOpScope scope(threads);
+    ASSERT_EQ(0, std::memcmp(g1.data(), ht::gelu(big).data(), bytes))
+        << "gelu threads=" << threads;
+    ASSERT_EQ(0, std::memcmp(gg1.data(), ht::gelu_grad(big, dbig).data(),
+                             bytes))
+        << "gelu_grad threads=" << threads;
+  }
 }
 
 TEST(Kernels, StridedPanelsMultiplyCorrectly) {
@@ -226,9 +251,9 @@ namespace {
 
 // The variant named `name`, or nullptr with `why` set when this build or
 // host cannot run it.
-const ht::kernels::GemmIsa* runnable_isa(const std::string& name,
-                                         std::string* why) {
-  for (const auto& isa : ht::kernels::gemm_isas()) {
+const ht::kernels::KernelIsa* runnable_isa(const std::string& name,
+                                           std::string* why) {
+  for (const auto& isa : ht::kernels::kernel_isas()) {
     if (name != isa.name) continue;
     if (isa.host_supports) return &isa;
     *why = "host CPU lacks " + name;
@@ -239,11 +264,40 @@ const ht::kernels::GemmIsa* runnable_isa(const std::string& name,
 }
 
 // C = or += A * B through one variant's gemm, dense row-major operands.
-void gemm_on(const ht::kernels::GemmIsa& isa, const ht::Tensor& a,
+void gemm_on(const ht::kernels::KernelIsa& isa, const ht::Tensor& a,
              const ht::Tensor& b, ht::Tensor& c, bool accumulate) {
   const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  ht::kernels::gemm_with(isa, m, n, k, a.data(), k, b.data(), n, c.data(), n,
-                         accumulate);
+  ht::kernels::gemm_with(isa, {m, n, k, a.data(), k, false, b.data(), n,
+                               false, c.data(), n, accumulate});
+}
+
+// m, n, k off every tile multiple (MR 4/6/8, NR 12/16/48, VLEN 4/8/16),
+// exact multiples, k straddling 64 and the 256-deep K panel.
+const Mnk kRaggedShapes[] = {
+    {1, 1, 1},     {1, 17, 300},  {3, 5, 2},     {5, 13, 63},
+    {7, 23, 65},   {9, 37, 257},  {13, 49, 256}, {17, 53, 300},
+    {24, 96, 64},  {25, 100, 513}, {31, 70, 129}, {64, 1, 300},
+};
+
+// src (rows x cols, row stride ld_src) transposed into a fresh cols x rows
+// tensor with row stride ld_dst (padding columns hold noise).
+ht::Tensor transposed(const ht::Tensor& src, int64_t rows, int64_t cols,
+                      int64_t ld_dst, ht::Rng& rng) {
+  ht::Tensor dst = rng.randn({cols, ld_dst});
+  for (int64_t r = 0; r < rows; ++r)
+    for (int64_t c = 0; c < cols; ++c) dst.at(c, r) = src.at(r, c);
+  return dst;
+}
+
+// gelu / gelu_grad of the tanh approximation in double precision.
+double gelu_ref(double x) {
+  const double t = std::tanh(0.7978845608028654 * (x + 0.044715 * x * x * x));
+  return 0.5 * x * (1.0 + t);
+}
+double gelu_grad_ref(double x) {
+  const double t = std::tanh(0.7978845608028654 * (x + 0.044715 * x * x * x));
+  return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * 0.7978845608028654 *
+                               (1.0 + 3.0 * 0.044715 * x * x);
 }
 
 class KernelsIsa : public ::testing::TestWithParam<const char*> {
@@ -254,22 +308,15 @@ class KernelsIsa : public ::testing::TestWithParam<const char*> {
     if (isa_ == nullptr) GTEST_SKIP() << why;
   }
 
-  const ht::kernels::GemmIsa* isa_ = nullptr;
+  const ht::kernels::KernelIsa* isa_ = nullptr;
 };
 
 }  // namespace
 
 TEST_P(KernelsIsa, MatchesNaiveOnRaggedShapes) {
-  // m, n, k off every tile multiple (MR 4/6/8, NR 12/16/48, VLEN 4/8/16),
-  // exact multiples, k straddling 64 and the 256-deep K panel, with
-  // accumulate both ways.
-  const Mnk shapes[] = {
-      {1, 1, 1},     {1, 17, 300},  {3, 5, 2},     {5, 13, 63},
-      {7, 23, 65},   {9, 37, 257},  {13, 49, 256}, {17, 53, 300},
-      {24, 96, 64},  {25, 100, 513}, {31, 70, 129}, {64, 1, 300},
-  };
+  // kRaggedShapes, with accumulate both ways.
   ht::Rng rng(31);
-  for (const auto& s : shapes) {
+  for (const auto& s : kRaggedShapes) {
     const ht::Tensor a = rng.randn({s.m, s.k});
     const ht::Tensor b = rng.randn({s.k, s.n});
     const ht::Tensor c0 = rng.randn({s.m, s.n});
@@ -315,6 +362,102 @@ TEST_P(KernelsIsa, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST_P(KernelsIsa, TransposedLayoutsEqualGemmBitwise) {
+  // gemm_bt packs B per K panel and gemm_at reads A in place; both must
+  // give exactly the bits of the plain gemm on explicitly transposed
+  // operands: dense and strided panels, accumulate both ways, 1 and N
+  // threads, k spanning several K panels.
+  ht::Rng rng(33);
+  for (const auto& s : kRaggedShapes) {
+    for (int64_t pad : {0, 3}) {
+      const int64_t lda = s.k + pad, ldb = s.n + pad;
+      const int64_t lda_t = s.m + pad, ldb_t = s.k + pad;
+      const ht::Tensor a = rng.randn({s.m, lda});
+      const ht::Tensor b = rng.randn({s.k, ldb});
+      const ht::Tensor a_t = transposed(a, s.m, s.k, lda_t, rng);
+      const ht::Tensor b_t = transposed(b, s.k, s.n, ldb_t, rng);
+      const ht::Tensor c0 = rng.randn({s.m, s.n});
+      for (bool accumulate : {false, true}) {
+        for (int threads : {1, 4}) {
+          ht::IntraOpScope scope(threads);
+          ht::Tensor ref = c0;
+          ht::kernels::gemm_with(*isa_, {s.m, s.n, s.k, a.data(), lda, false,
+                                         b.data(), ldb, false, ref.data(),
+                                         s.n, accumulate});
+          for (bool at : {false, true}) {
+            for (bool bt : {false, true}) {
+              if (!at && !bt) continue;
+              ht::Tensor out = c0;
+              ht::kernels::gemm_with(
+                  *isa_, {s.m, s.n, s.k, at ? a_t.data() : a.data(),
+                          at ? lda_t : lda, at, bt ? b_t.data() : b.data(),
+                          bt ? ldb_t : ldb, bt, out.data(), s.n, accumulate});
+              ASSERT_EQ(0, std::memcmp(ref.data(), out.data(),
+                                       static_cast<size_t>(ref.numel()) *
+                                           sizeof(float)))
+                  << s.m << "x" << s.n << "x" << s.k << " pad=" << pad
+                  << " a_t=" << at << " b_t=" << bt
+                  << " accumulate=" << accumulate << " threads=" << threads;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelsIsa, GeluMatchesDoubleReference) {
+  // The rational tanh against libm's double tanh over [-12, 12], plus
+  // saturated inputs, which must stay finite and keep their sign (or be
+  // zero).
+  std::vector<float> x;
+  for (int i = -12000; i <= 12000; ++i) x.push_back(1e-3f * static_cast<float>(i));
+  for (float v : {20.0f, 1e4f}) {
+    x.push_back(v);
+    x.push_back(-v);
+  }
+  const int64_t n = static_cast<int64_t>(x.size());
+  const std::vector<float> ones(x.size(), 1.0f);
+  std::vector<float> y(x.size()), g(x.size());
+  isa_->gelu(x.data(), y.data(), n);
+  isa_->gelu_grad(x.data(), ones.data(), g.data(), n);
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double xd = x[i];
+    const double tol = 1e-5 * std::max(1.0, std::fabs(xd));
+    const double yr = gelu_ref(xd), gr = gelu_grad_ref(xd);
+    ASSERT_LE(std::fabs(y[i] - yr), tol) << "gelu x=" << x[i];
+    ASSERT_LE(std::fabs(g[i] - gr), tol) << "gelu_grad x=" << x[i];
+    ASSERT_TRUE(std::isfinite(y[i]) && std::isfinite(g[i])) << x[i];
+    ASSERT_TRUE(y[i] == 0.0f || (y[i] > 0) == (yr > 0)) << "gelu x=" << x[i];
+    ASSERT_TRUE(g[i] == 0.0f || (g[i] > 0) == (gr > 0))
+        << "gelu_grad x=" << x[i];
+  }
+}
+
+TEST_P(KernelsIsa, GeluIsPositionIndependent) {
+  // Each element's bits must not depend on where a vector tail or a
+  // parallel chunk starts: one call over the whole range equals one call
+  // per element.
+  ht::Rng rng(34);
+  for (int64_t len = 1; len <= 67; ++len) {
+    const ht::Tensor x = ht::mul_scalar(rng.randn({len}), 4.0f);
+    const ht::Tensor dy = rng.randn({len});
+    std::vector<float> y(static_cast<size_t>(len)), g(y.size());
+    isa_->gelu(x.data(), y.data(), len);
+    isa_->gelu_grad(x.data(), dy.data(), g.data(), len);
+    for (int64_t i = 0; i < len; ++i) {
+      float yi = 0.0f, gi = 0.0f;
+      isa_->gelu(x.data() + i, &yi, 1);
+      isa_->gelu_grad(x.data() + i, dy.data() + i, &gi, 1);
+      const auto u = static_cast<size_t>(i);
+      ASSERT_EQ(0, std::memcmp(&y[u], &yi, sizeof(float)))
+          << "gelu len=" << len << " i=" << i;
+      ASSERT_EQ(0, std::memcmp(&g[u], &gi, sizeof(float)))
+          << "gelu_grad len=" << len << " i=" << i;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Isa, KernelsIsa,
                          ::testing::Values("avx512f", "avx2", "baseline"),
                          [](const auto& info) {
@@ -333,7 +476,7 @@ TEST(Kernels, DispatchesTheBestIsaTheHostSupports) {
 #endif
   EXPECT_EQ(expect, ht::kernels::gemm_isa());
   // Baseline is always compiled, always last, and runs everywhere.
-  const auto isas = ht::kernels::gemm_isas();
+  const auto isas = ht::kernels::kernel_isas();
   ASSERT_FALSE(isas.empty());
   EXPECT_STREQ("baseline", isas.back().name);
   EXPECT_TRUE(isas.back().host_supports);
