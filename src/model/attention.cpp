@@ -44,7 +44,26 @@ MultiHeadAttention::MultiHeadAttention(std::string name, int64_t hidden,
 // depends only on the row index, never on the thread count.
 namespace {
 constexpr int64_t kRowBlock = 64;
+
+// Scales the first `jmax` scores of a row and replaces them by their
+// softmax (double-accumulated denominator, ascending j). The training
+// forward and the decode path both call it, so a decoded row matches the
+// full-prefix recompute bit for bit.
+void softmax_row(float* prow, int64_t jmax, float scale) {
+  float mx = -1e30f;
+  for (int64_t j = 0; j < jmax; ++j) {
+    prow[j] *= scale;
+    mx = std::max(mx, prow[j]);
+  }
+  double denom = 0.0;
+  for (int64_t j = 0; j < jmax; ++j) {
+    prow[j] = std::exp(prow[j] - mx);
+    denom += prow[j];
+  }
+  const float inv = static_cast<float>(1.0 / denom);
+  for (int64_t j = 0; j < jmax; ++j) prow[j] *= inv;
 }
+}  // namespace
 
 Tensor MultiHeadAttention::forward(const Tensor& x, int mb) {
   const int64_t b = x.size(0), t = x.size(1);
@@ -72,22 +91,11 @@ Tensor MultiHeadAttention::forward(const Tensor& x, int mb) {
         // scores = Q K^T for this row block (blocked GEMM, triangular cut)
         kernels::gemm_bt(i1 - i0, jext, dk, q + i0 * h3, h3, k, h3,
                          prob + i0 * t, t, false);
-        // scale + causal mask + row softmax
+        // scale + row softmax, then zero the causally masked columns
         for (int64_t i = i0; i < i1; ++i) {
           float* prow = prob + i * t;
           const int64_t jmax = causal ? i + 1 : t;
-          float mx = -1e30f;
-          for (int64_t j = 0; j < jmax; ++j) {
-            prow[j] *= scale;
-            mx = std::max(mx, prow[j]);
-          }
-          double denom = 0.0;
-          for (int64_t j = 0; j < jmax; ++j) {
-            prow[j] = std::exp(prow[j] - mx);
-            denom += prow[j];
-          }
-          const float inv = static_cast<float>(1.0 / denom);
-          for (int64_t j = 0; j < jmax; ++j) prow[j] *= inv;
+          softmax_row(prow, jmax, scale);
           for (int64_t j = jmax; j < t; ++j) prow[j] = 0.0f;
         }
         // context = probs @ V over the visible columns only
@@ -98,14 +106,12 @@ Tensor MultiHeadAttention::forward(const Tensor& x, int mb) {
   });
 
   Tensor y = out_proj_.forward(ctx, mb);
-  cache_[mb] = Saved{std::move(qkv), std::move(probs), std::move(ctx)};
+  saved_.put(mb, Saved{std::move(qkv), std::move(probs)});
   return y;
 }
 
 Tensor MultiHeadAttention::backward(const Tensor& dy, int mb) {
-  auto it = cache_.find(mb);
-  if (it == cache_.end()) throw std::logic_error(name_ + ": backward without forward");
-  Saved& sv = it->second;
+  Saved sv = saved_.take(mb, name_);
   const Tensor& qkv = sv.qkv;
   const Tensor& probs = sv.probs;
 
@@ -175,7 +181,7 @@ Tensor MultiHeadAttention::backward(const Tensor& dy, int mb) {
     }
   });
 
-  cache_.erase(it);
+  sv = Saved{};  // free qkv/probs before the projection's backward
   return qkv_proj_.backward(dqkv, mb);
 }
 
@@ -238,22 +244,9 @@ Tensor MultiHeadAttention::forward_infer(const Tensor& x, int64_t pos0,
                            prob + r * total + j0, total, false);
         }
       }
-      // scale + row softmax — the same arithmetic as the training forward
+      // scale + row softmax — the training forward's helper
       for (int64_t r = 0; r < t; ++r) {
-        const int64_t jmax = visible(r);
-        float* prow = prob + r * total;
-        float mx = -1e30f;
-        for (int64_t j = 0; j < jmax; ++j) {
-          prow[j] *= scale;
-          mx = std::max(mx, prow[j]);
-        }
-        double denom = 0.0;
-        for (int64_t j = 0; j < jmax; ++j) {
-          prow[j] = std::exp(prow[j] - mx);
-          denom += prow[j];
-        }
-        const float inv = static_cast<float>(1.0 / denom);
-        for (int64_t j = 0; j < jmax; ++j) prow[j] *= inv;
+        softmax_row(prob + r * total, visible(r), scale);
       }
       // context = probs @ V, accumulated run by run in ascending-k order
       for (int64_t page = 0; page < pages; ++page) {
@@ -289,20 +282,6 @@ void MultiHeadAttention::set_kv_store(runtime::KvStore* store) {
 void MultiHeadAttention::collect_params(std::vector<Param*>& out) {
   qkv_proj_.collect_params(out);
   out_proj_.collect_params(out);
-}
-
-void MultiHeadAttention::drop_cache(int mb) {
-  qkv_proj_.drop_cache(mb);
-  out_proj_.drop_cache(mb);
-  cache_.erase(mb);
-}
-
-int64_t MultiHeadAttention::cached_bytes() const {
-  int64_t bytes = qkv_proj_.cached_bytes() + out_proj_.cached_bytes();
-  for (const auto& [k, sv] : cache_) {
-    bytes += sv.qkv.bytes() + sv.probs.bytes() + sv.ctx.bytes();
-  }
-  return bytes;
 }
 
 }  // namespace hanayo::model

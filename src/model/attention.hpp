@@ -33,15 +33,23 @@ class MultiHeadAttention : public Layer {
   /// the fp16 dequantisation scratch to one page run.
   void set_kv_store(runtime::KvStore* store) override;
   void collect_params(std::vector<Param*>& out) override;
-  void drop_cache(int mb) override;
+  void drop_cache(int mb) override {
+    qkv_proj_.drop_cache(mb);
+    out_proj_.drop_cache(mb);
+    saved_.drop(mb);
+  }
   std::string name() const override { return name_; }
-  int64_t cached_bytes() const override;
+  int64_t cached_bytes() const override {
+    return qkv_proj_.cached_bytes() + out_proj_.cached_bytes() + saved_.bytes();
+  }
 
  private:
+  /// What backward reads besides the projections' own saves (out_proj_
+  /// holds the pre-projection context).
   struct Saved {
     Tensor qkv;    // [b, t, 3h]
     Tensor probs;  // [b, heads, t, t] post-softmax attention
-    Tensor ctx;    // [b, t, h] pre-output-projection context
+    int64_t bytes() const { return qkv.bytes() + probs.bytes(); }
   };
 
   std::string name_;
@@ -49,7 +57,7 @@ class MultiHeadAttention : public Layer {
   bool causal_;
   Linear qkv_proj_;
   Linear out_proj_;
-  std::unordered_map<int, Saved> cache_;
+  SavedStore<Saved> saved_;
   /// Decode state: the non-owning store handle, this layer's lane in it,
   /// and the page-run scratch fp16 pages dequantise into (each head writes
   /// only its own dk columns, so the heads share it).

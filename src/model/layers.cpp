@@ -11,14 +11,6 @@ namespace hanayo::model {
 
 using namespace hanayo::tensor;
 
-namespace {
-int64_t map_bytes(const std::unordered_map<int, Tensor>& m) {
-  int64_t b = 0;
-  for (const auto& [k, v] : m) b += v.bytes();
-  return b;
-}
-}  // namespace
-
 // ---------------------------------------------------------------- Linear
 
 Linear::Linear(std::string name, int64_t in, int64_t out, Rng& rng,
@@ -29,12 +21,15 @@ Linear::Linear(std::string name, int64_t in, int64_t out, Rng& rng,
       w_(name_ + ".w", rng.randn({in, out}, init_std)),
       b_(name_ + ".b", Tensor({out})) {}
 
-Tensor Linear::forward(const Tensor& x, int mb) {
+Tensor Linear::apply(const Tensor& x) const {
   if (x.dim() < 2 || x.size(-1) != in_) {
     throw std::invalid_argument(name_ + ": input dim " + x.shape_str());
   }
   // The GEMM reads x as [rows, in_] in place — no flatten copy, no reshape
-  // copy on the way out; the bias is a row-wise epilogue over y.
+  // copy on the way out; the bias is a row-wise epilogue over y. Each
+  // output element is an independent ascending-k dot, so a row's result
+  // does not depend on how many rows share the call — the property
+  // KV-cache decode relies on.
   const int64_t rows = x.numel() / in_;
   tensor::Shape out_shape = x.shape();
   out_shape.back() = out_;
@@ -42,17 +37,17 @@ Tensor Linear::forward(const Tensor& x, int mb) {
   kernels::gemm(rows, out_, in_, x.data(), in_, w_.value.data(), out_,
                 y.data(), out_, /*accumulate=*/false);
   add_bias_(y, b_.value);
-  cache_x_[mb] = x;
+  return y;
+}
+
+Tensor Linear::forward(const Tensor& x, int mb) {
+  Tensor y = apply(x);
+  saved_x_.put(mb, x);
   return y;
 }
 
 Tensor Linear::backward(const Tensor& dy, int mb) {
-  auto it = cache_x_.find(mb);
-  if (it == cache_x_.end()) {
-    throw std::logic_error(name_ + ": backward without forward for mb " +
-                           std::to_string(mb));
-  }
-  const Tensor& x = it->second;
+  const Tensor x = saved_x_.take(mb, name_);
   const int64_t rows = x.numel() / in_;
   // dW += x^T dy, accumulated straight into the gradient — no temporary.
   kernels::gemm_at(in_, out_, rows, x.data(), in_, dy.data(), out_,
@@ -63,36 +58,15 @@ Tensor Linear::backward(const Tensor& dy, int mb) {
   Tensor dx(x.shape());
   kernels::gemm_bt(rows, in_, out_, dy.data(), out_, w_.value.data(), out_,
                    dx.data(), in_, /*accumulate=*/false);
-  cache_x_.erase(it);
   return dx;
 }
 
-Tensor Linear::forward_infer(const Tensor& x, int64_t, int) {
-  if (x.dim() < 2 || x.size(-1) != in_) {
-    throw std::invalid_argument(name_ + ": input dim " + x.shape_str());
-  }
-  // Same GEMM + bias epilogue as forward(); nothing saved. Each output
-  // element is an independent ascending-k dot, so a row's result does not
-  // depend on how many rows share the call — the property KV-cache decode
-  // relies on.
-  const int64_t rows = x.numel() / in_;
-  tensor::Shape out_shape = x.shape();
-  out_shape.back() = out_;
-  Tensor y(std::move(out_shape));
-  kernels::gemm(rows, out_, in_, x.data(), in_, w_.value.data(), out_,
-                y.data(), out_, /*accumulate=*/false);
-  add_bias_(y, b_.value);
-  return y;
-}
+Tensor Linear::forward_infer(const Tensor& x, int64_t, int) { return apply(x); }
 
 void Linear::collect_params(std::vector<Param*>& out) {
   out.push_back(&w_);
   out.push_back(&b_);
 }
-
-int64_t Linear::cached_bytes() const { return map_bytes(cache_x_); }
-
-void Linear::drop_cache(int mb) { cache_x_.erase(mb); }
 
 // -------------------------------------------------------------- LayerNorm
 
@@ -103,49 +77,51 @@ LayerNorm::LayerNorm(std::string name, int64_t dim, float eps)
       g_(name_ + ".g", Tensor::ones({dim})),
       b_(name_ + ".b", Tensor({dim})) {}
 
-Tensor LayerNorm::forward(const Tensor& x, int mb) {
+Tensor LayerNorm::normalize(const Tensor& x, Saved* sv) const {
   const int64_t n = x.size(-1);
   if (n != dim_) throw std::invalid_argument(name_ + ": dim mismatch");
   const int64_t rows = x.numel() / n;
-  Tensor xhat(x.shape());
-  Tensor inv_std({rows});
+  if (sv != nullptr) *sv = Saved{Tensor(x.shape()), Tensor({rows})};
   Tensor y(x.shape());
   // Rows are independent (the learned gain/bias are read-only here), so the
   // intra-op pool can split them; per-row accumulation order is unchanged.
   parallel_for(rows, 16, [&](int64_t r0, int64_t r1) {
-  for (int64_t i = r0; i < r1; ++i) {
-    const float* row = x.data() + i * n;
-    double mu = 0.0;
-    for (int64_t j = 0; j < n; ++j) mu += row[j];
-    mu /= static_cast<double>(n);
-    double var = 0.0;
-    for (int64_t j = 0; j < n; ++j) {
-      const double d = row[j] - mu;
-      var += d * d;
+    for (int64_t i = r0; i < r1; ++i) {
+      const float* row = x.data() + i * n;
+      double mu = 0.0;
+      for (int64_t j = 0; j < n; ++j) mu += row[j];
+      mu /= static_cast<double>(n);
+      double var = 0.0;
+      for (int64_t j = 0; j < n; ++j) {
+        const double d = row[j] - mu;
+        var += d * d;
+      }
+      var /= static_cast<double>(n);
+      const float is = static_cast<float>(1.0 / std::sqrt(var + eps_));
+      float* yr = y.data() + i * n;
+      float* xh = sv != nullptr ? sv->xhat.data() + i * n : nullptr;
+      if (sv != nullptr) sv->inv_std[i] = is;
+      for (int64_t j = 0; j < n; ++j) {
+        const float v = (row[j] - static_cast<float>(mu)) * is;
+        if (xh != nullptr) xh[j] = v;
+        yr[j] = v * g_.value[j] + b_.value[j];
+      }
     }
-    var /= static_cast<double>(n);
-    const float is = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    inv_std[i] = is;
-    float* xh = xhat.data() + i * n;
-    float* yr = y.data() + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      xh[j] = (row[j] - static_cast<float>(mu)) * is;
-      yr[j] = xh[j] * g_.value[j] + b_.value[j];
-    }
-  }
   });
-  cache_xhat_[mb] = std::move(xhat);
-  cache_inv_std_[mb] = std::move(inv_std);
+  return y;
+}
+
+Tensor LayerNorm::forward(const Tensor& x, int mb) {
+  Saved sv;
+  Tensor y = normalize(x, &sv);
+  saved_.put(mb, std::move(sv));
   return y;
 }
 
 Tensor LayerNorm::backward(const Tensor& dy, int mb) {
-  auto it = cache_xhat_.find(mb);
-  if (it == cache_xhat_.end()) {
-    throw std::logic_error(name_ + ": backward without forward");
-  }
-  const Tensor& xhat = it->second;
-  const Tensor& inv_std = cache_inv_std_[mb];
+  const Saved sv = saved_.take(mb, name_);
+  const Tensor& xhat = sv.xhat;
+  const Tensor& inv_std = sv.inv_std;
   const int64_t n = dim_;
   const int64_t rows = dy.numel() / n;
   Tensor dx(dy.shape());
@@ -169,39 +145,11 @@ Tensor LayerNorm::backward(const Tensor& dy, int mb) {
       dxr[j] = is * (dxhat - m1 - xh[j] * m2);
     }
   }
-  cache_xhat_.erase(it);
-  cache_inv_std_.erase(mb);
   return dx;
 }
 
 Tensor LayerNorm::forward_infer(const Tensor& x, int64_t, int) {
-  const int64_t n = x.size(-1);
-  if (n != dim_) throw std::invalid_argument(name_ + ": dim mismatch");
-  const int64_t rows = x.numel() / n;
-  Tensor y(x.shape());
-  // Row-for-row the same arithmetic as forward(), without the xhat/inv_std
-  // caches.
-  parallel_for(rows, 16, [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* row = x.data() + i * n;
-      double mu = 0.0;
-      for (int64_t j = 0; j < n; ++j) mu += row[j];
-      mu /= static_cast<double>(n);
-      double var = 0.0;
-      for (int64_t j = 0; j < n; ++j) {
-        const double d = row[j] - mu;
-        var += d * d;
-      }
-      var /= static_cast<double>(n);
-      const float is = static_cast<float>(1.0 / std::sqrt(var + eps_));
-      float* yr = y.data() + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float xh = (row[j] - static_cast<float>(mu)) * is;
-        yr[j] = xh * g_.value[j] + b_.value[j];
-      }
-    }
-  });
-  return y;
+  return normalize(x, nullptr);
 }
 
 void LayerNorm::collect_params(std::vector<Param*>& out) {
@@ -209,33 +157,18 @@ void LayerNorm::collect_params(std::vector<Param*>& out) {
   out.push_back(&b_);
 }
 
-int64_t LayerNorm::cached_bytes() const {
-  return map_bytes(cache_xhat_) + map_bytes(cache_inv_std_);
-}
-
-void LayerNorm::drop_cache(int mb) {
-  cache_xhat_.erase(mb);
-  cache_inv_std_.erase(mb);
-}
-
 // ------------------------------------------------------------------ Gelu
 
 Tensor Gelu::forward(const Tensor& x, int mb) {
-  cache_x_[mb] = x;
+  saved_x_.put(mb, x);
   return gelu(x);
 }
 
 Tensor Gelu::backward(const Tensor& dy, int mb) {
-  auto it = cache_x_.find(mb);
-  if (it == cache_x_.end()) throw std::logic_error(name_ + ": backward without forward");
-  Tensor dx = gelu_grad(it->second, dy);
-  cache_x_.erase(it);
-  return dx;
+  return gelu_grad(saved_x_.take(mb, name_), dy);
 }
 
 Tensor Gelu::forward_infer(const Tensor& x, int64_t, int) { return gelu(x); }
-
-int64_t Gelu::cached_bytes() const { return map_bytes(cache_x_); }
 
 // ------------------------------------------------------------- Embedding
 
@@ -248,29 +181,34 @@ Embedding::Embedding(std::string name, int64_t vocab, int64_t max_seq,
       tok_(name_ + ".tok", rng.randn({vocab, hidden}, init_std)),
       pos_(name_ + ".pos", rng.randn({max_seq, hidden}, init_std)) {}
 
-Tensor Embedding::forward(const Tensor& x, int mb) {
-  if (x.dim() != 2) throw std::invalid_argument(name_ + ": expect [b, t] ids");
-  const int64_t b = x.size(0), t = x.size(1);
-  if (t > max_seq_) throw std::invalid_argument(name_ + ": sequence too long");
+Tensor Embedding::embed(const Tensor& ids, int64_t pos0) const {
+  if (ids.dim() != 2) throw std::invalid_argument(name_ + ": expect [b, t] ids");
+  const int64_t b = ids.size(0), t = ids.size(1);
+  if (pos0 < 0 || pos0 + t > max_seq_) {
+    throw std::invalid_argument(name_ + ": positions past max sequence length");
+  }
   Tensor y({b, t, hidden_});
   for (int64_t i = 0; i < b; ++i) {
     for (int64_t j = 0; j < t; ++j) {
-      const auto id = static_cast<int64_t>(x.at(i, j));
+      const auto id = static_cast<int64_t>(ids.at(i, j));
       if (id < 0 || id >= vocab_) throw std::out_of_range(name_ + ": token id");
       const float* trow = tok_.value.data() + id * hidden_;
-      const float* prow = pos_.value.data() + j * hidden_;
+      const float* prow = pos_.value.data() + (pos0 + j) * hidden_;
       float* yrow = y.data() + (i * t + j) * hidden_;
       for (int64_t h = 0; h < hidden_; ++h) yrow[h] = trow[h] + prow[h];
     }
   }
-  cache_ids_[mb] = x;
+  return y;
+}
+
+Tensor Embedding::forward(const Tensor& x, int mb) {
+  Tensor y = embed(x, 0);
+  saved_ids_.put(mb, x);
   return y;
 }
 
 Tensor Embedding::backward(const Tensor& dy, int mb) {
-  auto it = cache_ids_.find(mb);
-  if (it == cache_ids_.end()) throw std::logic_error(name_ + ": backward without forward");
-  const Tensor& ids = it->second;
+  const Tensor ids = saved_ids_.take(mb, name_);
   const int64_t b = ids.size(0), t = ids.size(1);
   for (int64_t i = 0; i < b; ++i) {
     for (int64_t j = 0; j < t; ++j) {
@@ -284,35 +222,16 @@ Tensor Embedding::backward(const Tensor& dy, int mb) {
       }
     }
   }
-  cache_ids_.erase(it);
   return Tensor();  // no upstream gradient for token ids
 }
 
 Tensor Embedding::forward_infer(const Tensor& x, int64_t pos0, int) {
-  if (x.dim() != 2) throw std::invalid_argument(name_ + ": expect [b, t] ids");
-  const int64_t b = x.size(0), t = x.size(1);
-  if (pos0 < 0 || pos0 + t > max_seq_) {
-    throw std::invalid_argument(name_ + ": decode past max sequence length");
-  }
-  Tensor y({b, t, hidden_});
-  for (int64_t i = 0; i < b; ++i) {
-    for (int64_t j = 0; j < t; ++j) {
-      const auto id = static_cast<int64_t>(x.at(i, j));
-      if (id < 0 || id >= vocab_) throw std::out_of_range(name_ + ": token id");
-      const float* trow = tok_.value.data() + id * hidden_;
-      const float* prow = pos_.value.data() + (pos0 + j) * hidden_;
-      float* yrow = y.data() + (i * t + j) * hidden_;
-      for (int64_t h = 0; h < hidden_; ++h) yrow[h] = trow[h] + prow[h];
-    }
-  }
-  return y;
+  return embed(x, pos0);
 }
 
 void Embedding::collect_params(std::vector<Param*>& out) {
   out.push_back(&tok_);
   out.push_back(&pos_);
 }
-
-int64_t Embedding::cached_bytes() const { return map_bytes(cache_ids_); }
 
 }  // namespace hanayo::model

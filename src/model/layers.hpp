@@ -3,14 +3,17 @@
 //
 // Pipeline parallelism interleaves the forward passes of many micro-batches
 // before their backwards run, so unlike a tape-based autograd, every layer
-// here stores its saved-for-backward tensors keyed by micro-batch id. The
-// cache footprint (`cached_bytes`) is exactly the `Ma` quantity the paper
-// tracks in Figs. 3 and 8: it grows when a forward completes and shrinks
-// when the matching backward consumes it.
+// here stores its saved-for-backward tensors keyed by micro-batch id, in a
+// `SavedStore`. The cache footprint (`cached_bytes`) is the paper's `Ma`
+// (Figs. 3 and 8) in fp32: it grows when a forward completes, shrinks when
+// the matching backward consumes it, and for a sequence-length micro-batch
+// equals exactly twice the fp16 `LayerDesc::activation_bytes` of the layer.
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +29,41 @@ namespace hanayo::model {
 
 using tensor::Rng;
 using tensor::Tensor;
+
+/// The per-micro-batch saved-for-backward state of one layer: `forward`
+/// puts, `backward` takes, activation recomputation drops. `T` is a Tensor
+/// or a struct of them with a `bytes()` member. Every layer's cache goes
+/// through this one type, so how the slots are stored is decided here.
+template <class T>
+class SavedStore {
+ public:
+  void put(int mb, T v) { slots_.insert_or_assign(mb, std::move(v)); }
+
+  /// Removes and returns micro-batch `mb`'s state; throws std::logic_error
+  /// naming `owner` when no forward saved it.
+  T take(int mb, std::string_view owner) {
+    auto it = slots_.find(mb);
+    if (it == slots_.end()) {
+      throw std::logic_error(std::string(owner) +
+                             ": backward without forward for mb " +
+                             std::to_string(mb));
+    }
+    T v = std::move(it->second);
+    slots_.erase(it);
+    return v;
+  }
+
+  void drop(int mb) { slots_.erase(mb); }
+
+  int64_t bytes() const {
+    int64_t b = 0;
+    for (const auto& [mb, v] : slots_) b += v.bytes();
+    return b;
+  }
+
+ private:
+  std::unordered_map<int, T> slots_;
+};
 
 /// A learnable parameter with its gradient accumulator.
 struct Param {
@@ -94,18 +132,20 @@ class Linear : public Layer {
   Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return name_; }
-  int64_t cached_bytes() const override;
+  int64_t cached_bytes() const override { return saved_x_.bytes(); }
 
-  void drop_cache(int mb) override;
+  void drop_cache(int mb) override { saved_x_.drop(mb); }
 
   Param& weight() { return w_; }
   Param& bias() { return b_; }
 
  private:
+  Tensor apply(const Tensor& x) const;
+
   std::string name_;
   int64_t in_, out_;
   Param w_, b_;
-  std::unordered_map<int, Tensor> cache_x_;  // forward input (original shape)
+  SavedStore<Tensor> saved_x_;  // forward input (original shape)
 };
 
 /// LayerNorm over the last dimension with learned gain/bias.
@@ -117,17 +157,24 @@ class LayerNorm : public Layer {
   Tensor backward(const Tensor& dy, int mb) override;
   Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
   void collect_params(std::vector<Param*>& out) override;
-  void drop_cache(int mb) override;
+  void drop_cache(int mb) override { saved_.drop(mb); }
   std::string name() const override { return name_; }
-  int64_t cached_bytes() const override;
+  int64_t cached_bytes() const override { return saved_.bytes(); }
 
  private:
+  struct Saved {
+    Tensor xhat;     // normalised input
+    Tensor inv_std;  // per-row 1/sigma
+    int64_t bytes() const { return xhat.bytes() + inv_std.bytes(); }
+  };
+  /// The one row loop; writes `sv` (sized here) only when it is non-null.
+  Tensor normalize(const Tensor& x, Saved* sv) const;
+
   std::string name_;
   int64_t dim_;
   float eps_;
   Param g_, b_;
-  std::unordered_map<int, Tensor> cache_xhat_;     // normalised input
-  std::unordered_map<int, Tensor> cache_inv_std_;  // per-row 1/sigma
+  SavedStore<Saved> saved_;
 };
 
 /// Elementwise GELU.
@@ -139,13 +186,13 @@ class Gelu : public Layer {
   Tensor backward(const Tensor& dy, int mb) override;
   Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
   void collect_params(std::vector<Param*>&) override {}
-  void drop_cache(int mb) override { cache_x_.erase(mb); }
+  void drop_cache(int mb) override { saved_x_.drop(mb); }
   std::string name() const override { return name_; }
-  int64_t cached_bytes() const override;
+  int64_t cached_bytes() const override { return saved_x_.bytes(); }
 
  private:
   std::string name_;
-  std::unordered_map<int, Tensor> cache_x_;
+  SavedStore<Tensor> saved_x_;
 };
 
 /// Token + learned positional embedding. Input: [b, t] of token ids (stored
@@ -162,15 +209,18 @@ class Embedding : public Layer {
   /// with the same positional vector the full-prefix forward would use.
   Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
   void collect_params(std::vector<Param*>& out) override;
-  void drop_cache(int mb) override { cache_ids_.erase(mb); }
+  void drop_cache(int mb) override { saved_ids_.drop(mb); }
   std::string name() const override { return name_; }
-  int64_t cached_bytes() const override;
+  int64_t cached_bytes() const override { return saved_ids_.bytes(); }
 
  private:
+  /// Embeds tokens at positions [pos0, pos0 + t); pos0 is 0 in training.
+  Tensor embed(const Tensor& ids, int64_t pos0) const;
+
   std::string name_;
   int64_t vocab_, max_seq_, hidden_;
   Param tok_, pos_;
-  std::unordered_map<int, Tensor> cache_ids_;
+  SavedStore<Tensor> saved_ids_;
 };
 
 }  // namespace hanayo::model

@@ -63,24 +63,26 @@ double LayerDesc::fwd_flops(int64_t tokens) const {
 
 int64_t LayerDesc::activation_bytes(int64_t tokens) const {
   // Mixed-precision training (the paper's setup): activations are fp16.
+  // Each term is one saved tensor (README, "What each layer saves"); a
+  // LayerNorm saves xhat plus one 1/sigma per row.
   const int64_t f4 = 2;
+  const int64_t probs = (tokens / (seq > 0 ? seq : 1)) * heads * seq * seq;
+  // ln xhat + qkv in + out-proj in (h each), qkv (3h), probs, 1/sigma
+  const int64_t attn =
+      tokens * hidden * 3 + tokens * 3 * hidden + probs + tokens;
+  // ln xhat + fc1 in (h each), gelu in + fc2 in (ffn each), 1/sigma
+  const int64_t mlp = tokens * hidden * 2 + tokens * ffn * 2 + tokens;
   switch (type) {
     case Type::Embedding:
       return tokens * f4;  // cached token ids
-    case Type::Block: {
-      // ln1 xhat + qkv + probs + ctx + ln2 xhat + fc1 in + gelu in + fc2 in
-      const int64_t probs = (tokens / (seq > 0 ? seq : 1)) * heads * seq * seq;
-      return (tokens * hidden * 5 + tokens * 3 * hidden + probs +
-              tokens * ffn * 2) * f4;
-    }
-    case Type::AttnHalf: {
-      const int64_t probs = (tokens / (seq > 0 ? seq : 1)) * heads * seq * seq;
-      return (tokens * hidden * 4 + tokens * 3 * hidden + probs) * f4;
-    }
+    case Type::Block:
+      return (attn + mlp) * f4;
+    case Type::AttnHalf:
+      return attn * f4;
     case Type::MlpHalf:
-      return (tokens * hidden * 2 + tokens * ffn * 2) * f4;
+      return mlp * f4;
     case Type::FinalNorm:
-      return tokens * hidden * f4;
+      return (tokens * hidden + tokens) * f4;
     case Type::LMHead:
       return tokens * hidden * f4;
   }
@@ -224,72 +226,20 @@ int64_t ModelConfig::total_params() const {
 
 // ----------------------------------------------------------------- Block
 
+// The halves are built attention first, so the weights draw from `rng` in
+// the order qkv, out, fc1, fc2.
 Block::Block(std::string name, int64_t hidden, int64_t heads, bool causal,
              Rng& rng, float init_std)
-    : name_(std::move(name)),
-      ln1_(name_ + ".ln1", hidden),
-      attn_(name_ + ".attn", hidden, heads, causal, rng, init_std),
-      ln2_(name_ + ".ln2", hidden),
-      fc1_(name_ + ".fc1", hidden, 4 * hidden, rng, init_std),
-      act_(name_ + ".gelu"),
-      fc2_(name_ + ".fc2", 4 * hidden, hidden, rng, init_std) {}
-
-Tensor Block::forward(const Tensor& x, int mb) {
-  Tensor a = attn_.forward(ln1_.forward(x, mb), mb);
-  Tensor r1 = tensor::add(x, a);
-  Tensor m = fc2_.forward(act_.forward(fc1_.forward(ln2_.forward(r1, mb), mb), mb), mb);
-  return tensor::add(r1, m);
-}
-
-Tensor Block::backward(const Tensor& dy, int mb) {
-  // y = r1 + mlp(ln2(r1)); dy flows to both branches.
-  Tensor dmlp = ln2_.backward(
-      fc1_.backward(act_.backward(fc2_.backward(dy, mb), mb), mb), mb);
-  Tensor dr1 = tensor::add(dy, dmlp);
-  // r1 = x + attn(ln1(x))
-  Tensor dattn = ln1_.backward(attn_.backward(dr1, mb), mb);
-  return tensor::add(dr1, dattn);
-}
-
-Tensor Block::forward_infer(const Tensor& x, int64_t pos0, int slot) {
-  Tensor a = attn_.forward_infer(ln1_.forward_infer(x, pos0, slot), pos0, slot);
-  Tensor r1 = tensor::add(x, a);
-  Tensor m = fc2_.forward_infer(
-      act_.forward_infer(
-          fc1_.forward_infer(ln2_.forward_infer(r1, pos0, slot), pos0, slot),
-          pos0, slot),
-      pos0, slot);
-  return tensor::add(r1, m);
-}
-
-void Block::collect_params(std::vector<Param*>& out) {
-  ln1_.collect_params(out);
-  attn_.collect_params(out);
-  ln2_.collect_params(out);
-  fc1_.collect_params(out);
-  fc2_.collect_params(out);
-}
-
-int64_t Block::cached_bytes() const {
-  return ln1_.cached_bytes() + attn_.cached_bytes() + ln2_.cached_bytes() +
-         fc1_.cached_bytes() + act_.cached_bytes() + fc2_.cached_bytes();
-}
-
-void Block::drop_cache(int mb) {
-  ln1_.drop_cache(mb);
-  attn_.drop_cache(mb);
-  ln2_.drop_cache(mb);
-  fc1_.drop_cache(mb);
-  act_.drop_cache(mb);
-  fc2_.drop_cache(mb);
-}
+    : attn_(name, hidden, heads, causal, rng, init_std, ".ln1"),
+      mlp_(std::move(name), hidden, rng, init_std, ".ln2") {}
 
 // ---------------------------------------------------------- AttnResidual
 
 AttnResidual::AttnResidual(std::string name, int64_t hidden, int64_t heads,
-                           bool causal, Rng& rng, float init_std)
+                           bool causal, Rng& rng, float init_std,
+                           const std::string& ln)
     : name_(std::move(name)),
-      ln_(name_ + ".ln", hidden),
+      ln_(name_ + ln, hidden),
       attn_(name_ + ".attn", hidden, heads, causal, rng, init_std) {}
 
 Tensor AttnResidual::forward(const Tensor& x, int mb) {
@@ -311,21 +261,12 @@ void AttnResidual::collect_params(std::vector<Param*>& out) {
   attn_.collect_params(out);
 }
 
-int64_t AttnResidual::cached_bytes() const {
-  return ln_.cached_bytes() + attn_.cached_bytes();
-}
-
-void AttnResidual::drop_cache(int mb) {
-  ln_.drop_cache(mb);
-  attn_.drop_cache(mb);
-}
-
 // ----------------------------------------------------------- MlpResidual
 
 MlpResidual::MlpResidual(std::string name, int64_t hidden, Rng& rng,
-                         float init_std)
+                         float init_std, const std::string& ln)
     : name_(std::move(name)),
-      ln_(name_ + ".ln", hidden),
+      ln_(name_ + ln, hidden),
       fc1_(name_ + ".fc1", hidden, 4 * hidden, rng, init_std),
       act_(name_ + ".gelu"),
       fc2_(name_ + ".fc2", 4 * hidden, hidden, rng, init_std) {}
@@ -354,18 +295,6 @@ void MlpResidual::collect_params(std::vector<Param*>& out) {
   ln_.collect_params(out);
   fc1_.collect_params(out);
   fc2_.collect_params(out);
-}
-
-int64_t MlpResidual::cached_bytes() const {
-  return ln_.cached_bytes() + fc1_.cached_bytes() + act_.cached_bytes() +
-         fc2_.cached_bytes();
-}
-
-void MlpResidual::drop_cache(int mb) {
-  ln_.drop_cache(mb);
-  fc1_.drop_cache(mb);
-  act_.drop_cache(mb);
-  fc2_.drop_cache(mb);
 }
 
 // ------------------------------------------------------------ build_layer
@@ -431,27 +360,22 @@ Tensor StageModule::forward(const Tensor& x, int mb) {
   for (auto& l : layers_) h = l->forward(h, mb);
   if (recompute_) {
     drop_cache(mb);
-    saved_inputs_[mb] = x;
+    saved_inputs_.put(mb, x);
   }
   return h;
 }
 
 void StageModule::drop_cache(int mb) {
   for (auto& l : layers_) l->drop_cache(mb);
-  saved_inputs_.erase(mb);
+  saved_inputs_.drop(mb);
 }
 
 Tensor StageModule::backward(const Tensor& dy, int mb) {
   if (recompute_) {
-    const auto it = saved_inputs_.find(mb);
-    if (it == saved_inputs_.end()) {
-      throw std::logic_error("StageModule: recompute backward without forward");
-    }
     // Rebuild the caches with a second forward pass (deterministic, so the
     // gradients are bit-identical to the cached path).
-    Tensor h = it->second;
+    Tensor h = saved_inputs_.take(mb, "StageModule (recompute)");
     for (auto& l : layers_) h = l->forward(h, mb);
-    saved_inputs_.erase(it);
   }
   Tensor g = dy;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
@@ -522,8 +446,7 @@ void StageModule::zero_grads() {
 int64_t StageModule::cached_bytes() const {
   int64_t b = 0;
   for (const auto& l : layers_) b += l->cached_bytes();
-  for (const auto& [mb, t] : saved_inputs_) b += t.bytes();
-  return b;
+  return b + saved_inputs_.bytes();
 }
 
 int64_t StageModule::param_count() const {

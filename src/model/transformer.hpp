@@ -87,69 +87,97 @@ struct ModelConfig {
   int64_t total_params() const;
 };
 
-/// Pre-LN transformer block: x + MHA(LN(x)), then x + MLP(LN(x)).
+/// The attention half of a block: x + MHA(LN(x)). The LayerNorm is named
+/// `name + ln`; Block passes ".ln1" to keep its checkpoint keys.
+class AttnResidual : public Layer {
+ public:
+  AttnResidual(std::string name, int64_t hidden, int64_t heads, bool causal,
+               Rng& rng, float init_std, const std::string& ln = ".ln");
+  Tensor forward(const Tensor& x, int mb) override;
+  Tensor backward(const Tensor& dy, int mb) override;
+  Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
+  void set_kv_store(runtime::KvStore* s) override { attn_.set_kv_store(s); }
+  void collect_params(std::vector<Param*>& out) override;
+  void drop_cache(int mb) override {
+    ln_.drop_cache(mb);
+    attn_.drop_cache(mb);
+  }
+  std::string name() const override { return name_; }
+  int64_t cached_bytes() const override {
+    return ln_.cached_bytes() + attn_.cached_bytes();
+  }
+
+ private:
+  std::string name_;
+  LayerNorm ln_;
+  MultiHeadAttention attn_;
+};
+
+/// The MLP half of a block: x + FC2(GELU(FC1(LN(x)))). The LayerNorm is
+/// named `name + ln`; Block passes ".ln2".
+class MlpResidual : public Layer {
+ public:
+  MlpResidual(std::string name, int64_t hidden, Rng& rng, float init_std,
+              const std::string& ln = ".ln");
+  Tensor forward(const Tensor& x, int mb) override;
+  Tensor backward(const Tensor& dy, int mb) override;
+  Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
+  void collect_params(std::vector<Param*>& out) override;
+  void drop_cache(int mb) override {
+    ln_.drop_cache(mb);
+    fc1_.drop_cache(mb);
+    act_.drop_cache(mb);
+    fc2_.drop_cache(mb);
+  }
+  std::string name() const override { return name_; }
+  int64_t cached_bytes() const override {
+    return ln_.cached_bytes() + fc1_.cached_bytes() + act_.cached_bytes() +
+           fc2_.cached_bytes();
+  }
+
+ private:
+  std::string name_;
+  LayerNorm ln_;
+  Linear fc1_;
+  Gelu act_;
+  Linear fc2_;
+};
+
+/// Pre-LN transformer block: x + MHA(LN(x)), then x + MLP(LN(x)) — its
+/// attention half followed by its MLP half, so each half's arithmetic and
+/// saved state exist once. Parameters keep the names `<name>.ln1.*`,
+/// `<name>.attn.*`, `<name>.ln2.*`, `<name>.fc1.*`, `<name>.fc2.*`.
 class Block : public Layer {
  public:
   Block(std::string name, int64_t hidden, int64_t heads, bool causal, Rng& rng,
         float init_std);
 
-  Tensor forward(const Tensor& x, int mb) override;
-  Tensor backward(const Tensor& dy, int mb) override;
-  Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
+  Tensor forward(const Tensor& x, int mb) override {
+    return mlp_.forward(attn_.forward(x, mb), mb);
+  }
+  Tensor backward(const Tensor& dy, int mb) override {
+    return attn_.backward(mlp_.backward(dy, mb), mb);
+  }
+  Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override {
+    return mlp_.forward_infer(attn_.forward_infer(x, pos0, slot), pos0, slot);
+  }
   void set_kv_store(runtime::KvStore* s) override { attn_.set_kv_store(s); }
-  void collect_params(std::vector<Param*>& out) override;
-  void drop_cache(int mb) override;
-  std::string name() const override { return name_; }
-  int64_t cached_bytes() const override;
+  void collect_params(std::vector<Param*>& out) override {
+    attn_.collect_params(out);
+    mlp_.collect_params(out);
+  }
+  void drop_cache(int mb) override {
+    attn_.drop_cache(mb);
+    mlp_.drop_cache(mb);
+  }
+  std::string name() const override { return attn_.name(); }
+  int64_t cached_bytes() const override {
+    return attn_.cached_bytes() + mlp_.cached_bytes();
+  }
 
  private:
-  std::string name_;
-  LayerNorm ln1_;
-  MultiHeadAttention attn_;
-  LayerNorm ln2_;
-  Linear fc1_;
-  Gelu act_;
-  Linear fc2_;
-};
-
-/// The attention half of a block: x + MHA(LN(x)).
-class AttnResidual : public Layer {
- public:
-  AttnResidual(std::string name, int64_t hidden, int64_t heads, bool causal,
-               Rng& rng, float init_std);
-  Tensor forward(const Tensor& x, int mb) override;
-  Tensor backward(const Tensor& dy, int mb) override;
-  Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
-  void set_kv_store(runtime::KvStore* s) override { attn_.set_kv_store(s); }
-  void collect_params(std::vector<Param*>& out) override;
-  void drop_cache(int mb) override;
-  std::string name() const override { return name_; }
-  int64_t cached_bytes() const override;
-
- private:
-  std::string name_;
-  LayerNorm ln_;
-  MultiHeadAttention attn_;
-};
-
-/// The MLP half of a block: x + FC2(GELU(FC1(LN(x)))).
-class MlpResidual : public Layer {
- public:
-  MlpResidual(std::string name, int64_t hidden, Rng& rng, float init_std);
-  Tensor forward(const Tensor& x, int mb) override;
-  Tensor backward(const Tensor& dy, int mb) override;
-  Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
-  void collect_params(std::vector<Param*>& out) override;
-  void drop_cache(int mb) override;
-  std::string name() const override { return name_; }
-  int64_t cached_bytes() const override;
-
- private:
-  std::string name_;
-  LayerNorm ln_;
-  Linear fc1_;
-  Gelu act_;
-  Linear fc2_;
+  AttnResidual attn_;
+  MlpResidual mlp_;
 };
 
 /// Instantiates the runnable layer for a planning record. `base_seed` makes
@@ -235,7 +263,7 @@ class StageModule {
   int begin_ = 0, end_ = 0;
   bool recompute_ = false;
   std::vector<std::unique_ptr<Layer>> layers_;
-  std::unordered_map<int, Tensor> saved_inputs_;
+  SavedStore<Tensor> saved_inputs_;
   /// KV wiring: the store decode runs against (attached, or own_kv_), the
   /// module's own store once built, and what building one needs.
   runtime::KvStore* kv_ = nullptr;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "model/attention.hpp"
 #include "model/layers.hpp"
 #include "tensor/ops.hpp"
 
@@ -89,6 +90,16 @@ TEST(LayerNorm, GainBiasApplied) {
   EXPECT_NEAR(y[1], 2.0f * 1.0f + 1.0f, 1e-3f);
 }
 
+TEST(LayerNorm, BackwardWithoutForwardThrows) {
+  hm::LayerNorm ln("ln", 4);
+  ht::Rng rng(5);
+  EXPECT_THROW(ln.backward(ht::Tensor({2, 4}), 3), std::logic_error);
+  ln.forward(rng.randn({2, 4}), 3);
+  ln.backward(ht::Tensor({2, 4}), 3);
+  EXPECT_EQ(ln.cached_bytes(), 0);
+  EXPECT_THROW(ln.backward(ht::Tensor({2, 4}), 3), std::logic_error);
+}
+
 TEST(Gelu, CacheLifecycle) {
   hm::Gelu g("g");
   ht::Rng rng(6);
@@ -137,6 +148,27 @@ TEST(Embedding, BackwardScattersIntoRows) {
   // position grads
   EXPECT_FLOAT_EQ(ps[1]->grad.at(0, 1), 2.0f);
   EXPECT_FLOAT_EQ(ps[1]->grad.at(1, 0), 3.0f);
+}
+
+TEST(Embedding, BackwardWithoutForwardThrows) {
+  ht::Rng rng(9);
+  hm::Embedding emb("e", 6, 4, 2, rng, 0.1f);
+  EXPECT_THROW(emb.backward(ht::Tensor({1, 2, 2}), 1), std::logic_error);
+  emb.forward(ht::Tensor({1, 2}, std::vector<float>{1, 2}), 1);
+  emb.backward(ht::Tensor({1, 2, 2}), 1);
+  EXPECT_EQ(emb.cached_bytes(), 0);
+  EXPECT_THROW(emb.backward(ht::Tensor({1, 2, 2}), 1), std::logic_error);
+}
+
+TEST(MultiHeadAttention, BackwardWithoutForwardThrows) {
+  ht::Rng rng(11);
+  hm::MultiHeadAttention mha("a", 8, 2, /*causal=*/true, rng, 0.1f);
+  EXPECT_THROW(mha.backward(ht::Tensor({1, 3, 8}), 2), std::logic_error);
+  EXPECT_EQ(mha.cached_bytes(), 0);  // the throw touched no projection
+  mha.forward(rng.randn({1, 3, 8}), 2);
+  mha.backward(ht::Tensor({1, 3, 8}), 2);
+  EXPECT_EQ(mha.cached_bytes(), 0);
+  EXPECT_THROW(mha.backward(ht::Tensor({1, 3, 8}), 2), std::logic_error);
 }
 
 TEST(Embedding, TooLongSequenceThrows) {

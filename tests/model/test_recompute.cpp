@@ -99,6 +99,9 @@ TEST(Recompute, DropCacheClearsEveryLayerKind) {
     }
     layer->forward(x, 0);
     EXPECT_GT(layer->cached_bytes(), 0) << layer->name();
+    // fp32 saves are exactly twice the planner's fp16 Ma at t == seq.
+    EXPECT_EQ(layer->cached_bytes(), 2 * d.activation_bytes(8))
+        << layer->name();
     layer->drop_cache(0);
     EXPECT_EQ(layer->cached_bytes(), 0) << layer->name();
   }
@@ -117,6 +120,8 @@ TEST(Recompute, SplitHalvesSupportDropCache) {
     }
     auto layer = hm::build_layer(d, 11, cfg.init_std);
     layer->forward(x, 0);
+    EXPECT_EQ(layer->cached_bytes(), 2 * d.activation_bytes(8))
+        << layer->name();
     layer->drop_cache(0);
     EXPECT_EQ(layer->cached_bytes(), 0) << layer->name();
   }

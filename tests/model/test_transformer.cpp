@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "model/loss.hpp"
 #include "model/partition.hpp"
 #include "model/transformer.hpp"
@@ -202,6 +205,37 @@ TEST(ModelConfig, SplitBlocksDoublesBlockEntries) {
   for (const auto& d : whole) fa += d.fwd_flops(16);
   for (const auto& d : split) fb += d.fwd_flops(16);
   EXPECT_NEAR(fa, fb, 1e-6 * fa);
+  // And the planner's saved-activation bytes (Ma): Block == AttnHalf + MlpHalf.
+  int64_t ma = 0, mb = 0;
+  for (const auto& d : whole) ma += d.activation_bytes(16);
+  for (const auto& d : split) mb += d.activation_bytes(16);
+  EXPECT_EQ(ma, mb);
+}
+
+TEST(StageModule, ParamNamesArePinned) {
+  // Checkpoints key on these names, in this order.
+  auto cfg = hm::ModelConfig::tiny(1, 16, 2, 31, 8);
+  auto names = [](hm::StageModule& m) {
+    std::vector<std::string> out;
+    for (const hm::Param* p : m.params()) out.push_back(p->name);
+    return out;
+  };
+  hm::StageModule block(cfg.layer_descs(), 1, 2, 3, cfg.init_std);
+  EXPECT_EQ(names(block),
+            (std::vector<std::string>{
+                "L1.blk.ln1.g", "L1.blk.ln1.b", "L1.blk.attn.qkv.w",
+                "L1.blk.attn.qkv.b", "L1.blk.attn.out.w", "L1.blk.attn.out.b",
+                "L1.blk.ln2.g", "L1.blk.ln2.b", "L1.blk.fc1.w", "L1.blk.fc1.b",
+                "L1.blk.fc2.w", "L1.blk.fc2.b"}));
+  cfg.split_blocks = true;
+  hm::StageModule halves(cfg.layer_descs(), 1, 3, 3, cfg.init_std);
+  EXPECT_EQ(names(halves),
+            (std::vector<std::string>{
+                "L1.attn.ln.g", "L1.attn.ln.b", "L1.attn.attn.qkv.w",
+                "L1.attn.attn.qkv.b", "L1.attn.attn.out.w",
+                "L1.attn.attn.out.b", "L2.mlp.ln.g", "L2.mlp.ln.b",
+                "L2.mlp.fc1.w", "L2.mlp.fc1.b", "L2.mlp.fc2.w",
+                "L2.mlp.fc2.b"}));
 }
 
 TEST(ModelConfig, SplitHalvesComputeSameFunctionAsBlock) {

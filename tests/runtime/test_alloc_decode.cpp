@@ -51,13 +51,15 @@ constexpr int64_t kDecodePassAllocBudget = 0;
 // every step; 458 (bound 458) once steps ran on a persistent runtime::Gang;
 // 375-376 (bound 376, from 455-456) once the worker's (mb, pos) activation
 // and gradient slots became flat vectors and posted receives a fixed
-// RecvAhead ring. What remains is mostly the model layers' per-micro-batch
-// forward-cache map nodes, plus the parameter lists gathered at the flush
-// and optimizer step and the odd mailbox queue growth. Tensor payloads
-// themselves already come from the iteration arena, and none of this is
-// on the serving latency path. Ratchet DOWN as training-side pooling
-// grows; never raise without a CHANGES.md note.
-constexpr int64_t kTrainStepAllocBudget = 376;
+// RecvAhead ring; 307-308 (bound 308) once each LayerNorm kept one saved
+// record per micro-batch instead of two map entries (17 LayerNorms x 4
+// micro-batches = 68 nodes). What remains is mostly the model layers'
+// per-micro-batch SavedStore map nodes, plus the parameter lists gathered
+// at the flush and optimizer step and the odd mailbox queue growth.
+// Tensor payloads themselves already come from the iteration arena, and
+// none of this is on the serving latency path. Ratchet DOWN as
+// training-side pooling grows; never raise without a CHANGES.md note.
+constexpr int64_t kTrainStepAllocBudget = 308;
 
 InferConfig tiny_serving_config() {
   InferConfig cfg;
