@@ -1,5 +1,7 @@
 // Microbenchmarks of the collective algorithms and the fp16 codec — the
 // communication substrate the wave runtime and the ZeRO-1 flush sit on.
+// BM_AllreducePerTensor / BM_AllreduceCoalesced compare one Naive allreduce
+// per gradient tensor with the flush's one coalesced allreduce per chunk.
 
 #include <benchmark/benchmark.h>
 
@@ -80,6 +82,73 @@ static void BM_ReduceScatterAllgather(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * numel * 4 * n);
 }
 BENCHMARK(BM_ReduceScatterAllgather)->Args({4, 1 << 14})->Args({8, 1 << 14});
+
+namespace {
+
+/// One transformer Block's 12 gradient tensors at hidden `h` (ffn 4h): what
+/// the training flush synchronises per block of a chunk.
+std::vector<ht::Tensor> block_grads(int64_t h) {
+  const int64_t f = 4 * h;
+  std::vector<ht::Tensor> out;
+  for (const ht::Shape& s : std::vector<ht::Shape>{
+           {h}, {h}, {h, 3 * h}, {3 * h}, {h, h}, {h}, {h}, {h}, {h, f}, {f},
+           {f, h}, {h}}) {
+    out.emplace_back(s, 1.0f);
+  }
+  return out;
+}
+
+/// Data-parallel gradient sync of one block on a group of 2: rank 0 runs
+/// on the benchmark thread, rank 1 on a peer thread started once per run,
+/// so each iteration times the collectives alone, not thread start-up.
+void bm_grad_sync(benchmark::State& state, bool coalesced) {
+  const int64_t h = state.range(0);
+  hc::World world(2);
+  const hc::Group g = full_group(2);
+  // Both ranks' gradients are made before the peer starts.
+  std::vector<ht::Tensor> grads[2] = {block_grads(h), block_grads(h)};
+  std::vector<ht::Tensor*> ptrs[2];
+  for (int r = 0; r < 2; ++r) {
+    for (ht::Tensor& t : grads[r]) ptrs[r].push_back(&t);
+  }
+  const auto sync = [&](hc::Communicator& c) {
+    const int r = c.rank();
+    if (coalesced) {
+      hc::allreduce_sum(c, g, ptrs[r], 0);
+    } else {
+      for (size_t i = 0; i < grads[r].size(); ++i) {
+        hc::allreduce_sum(c, g, grads[r][i], static_cast<int>(2 * i));
+      }
+    }
+  };
+  const benchmark::IterationCount iters = state.max_iterations;
+  std::thread peer([&] {
+    hc::Communicator c(&world, 1);
+    for (benchmark::IterationCount i = 0; i < iters; ++i) sync(c);
+  });
+  hc::Communicator c(&world, 0);
+  int64_t bytes = 0;
+  for (const ht::Tensor& t : grads[0]) bytes += t.bytes();
+  for (auto _ : state) {
+    sync(c);
+    benchmark::DoNotOptimize(grads[0].front().data());
+    benchmark::ClobberMemory();
+  }
+  peer.join();
+  state.SetBytesProcessed(state.iterations() * bytes * 2);
+}
+
+}  // namespace
+
+static void BM_AllreducePerTensor(benchmark::State& state) {
+  bm_grad_sync(state, /*coalesced=*/false);
+}
+BENCHMARK(BM_AllreducePerTensor)->Arg(32)->Arg(128)->UseRealTime();
+
+static void BM_AllreduceCoalesced(benchmark::State& state) {
+  bm_grad_sync(state, /*coalesced=*/true);
+}
+BENCHMARK(BM_AllreduceCoalesced)->Arg(32)->Arg(128)->UseRealTime();
 
 static void BM_Fp16Pack(benchmark::State& state) {
   ht::Tensor t({state.range(0)});

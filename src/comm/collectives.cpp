@@ -1,5 +1,6 @@
 #include "comm/collectives.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -31,6 +32,22 @@ int require_member(const Group& group, const Communicator& comm,
 /// Sums `src` into `dst[offset..offset+len)`.
 void accumulate(float* dst, const float* src, int64_t len) {
   for (int64_t i = 0; i < len; ++i) dst[i] += src[i];
+}
+
+/// One message holding every tensor of `ts` back to back.
+tensor::Tensor pack(std::span<tensor::Tensor* const> ts, int64_t total) {
+  tensor::Tensor out = tensor::Tensor::uninitialized({total});
+  float* dst = out.data();
+  for (const tensor::Tensor* t : ts) {
+    dst = std::copy_n(t->data(), t->numel(), dst);
+  }
+  return out;
+}
+
+void check_packed(const tensor::Tensor& msg, int64_t total) {
+  if (msg.numel() != total) {
+    throw std::runtime_error("allreduce_sum: mismatched member sizes");
+  }
 }
 
 /// Ring allreduce: n−1 reduce-scatter steps followed by n−1 allgather steps,
@@ -125,7 +142,7 @@ std::pair<int64_t, int64_t> shard_bounds(int64_t numel, int n, int i) {
 
 void allreduce_sum(Communicator& comm, const Group& group, tensor::Tensor& t,
                    int phase, AllreduceAlgo algo) {
-  const int me = require_member(group, comm, "allreduce_sum");
+  require_member(group, comm, "allreduce_sum");
   const int n = group.size();
   if (n == 1) return;
   switch (algo) {
@@ -148,18 +165,48 @@ void allreduce_sum(Communicator& comm, const Group& group, tensor::Tensor& t,
     case AllreduceAlgo::Naive:
       break;
   }
+  tensor::Tensor* const one[] = {&t};
+  allreduce_sum(comm, group, one, phase);
+}
+
+void allreduce_sum(Communicator& comm, const Group& group,
+                   std::span<tensor::Tensor* const> ts, int phase) {
+  const int me = require_member(group, comm, "allreduce_sum");
+  const int n = group.size();
+  if (n == 1) return;
+  int64_t total = 0;
+  for (const tensor::Tensor* t : ts) total += t->numel();
   // Reduce to group rank 0 in fixed order, then broadcast. O(n) messages;
   // determinism (fixed summation order) is the priority, not bandwidth.
+  // Messages are packed straight from and into the callers' tensors
+  // (long-lived Param::grads): a received payload lives in its sender's
+  // pass arena and is only read, never adopted.
   if (me == 0) {
     for (int i = 1; i < n; ++i) {
-      tensor::Tensor part =
+      const tensor::Tensor part =
           comm.recv(group.ranks[static_cast<size_t>(i)], coll_tag(phase, i));
-      t.add_(part);
+      check_packed(part, total);
+      const float* src = part.data();
+      for (tensor::Tensor* t : ts) {
+        accumulate(t->data(), src, t->numel());
+        src += t->numel();
+      }
+    }
+    for (int i = 1; i < n; ++i) {
+      comm.send(group.ranks[static_cast<size_t>(i)], coll_tag(phase + 1, i),
+                pack(ts, total));
     }
   } else {
-    comm.send(group.ranks[0], coll_tag(phase, me), t);
+    comm.send(group.ranks[0], coll_tag(phase, me), pack(ts, total));
+    const tensor::Tensor in =
+        comm.recv(group.ranks[0], coll_tag(phase + 1, me));
+    check_packed(in, total);
+    const float* src = in.data();
+    for (tensor::Tensor* t : ts) {
+      std::copy_n(src, t->numel(), t->data());
+      src += t->numel();
+    }
   }
-  broadcast(comm, group, t, 0, phase + 1);
 }
 
 void reduce_sum(Communicator& comm, const Group& group, tensor::Tensor& t,

@@ -3,7 +3,8 @@
 //
 // Used by the runtime for the data-parallel gradient synchronisation that
 // the paper performs at every flush ("the replicas employed by Chimera can
-// now be considered as standard data parallelism", §3.2), for scattering
+// now be considered as standard data parallelism", §3.2) — one coalesced
+// Naive allreduce per model chunk, not one per parameter — for scattering
 // the loss back to rank 0, and by the ZeRO-1 optimizer-state sharding
 // extension (related work §6: "These techniques are independent of pipeline
 // parallelism and can be combined").
@@ -13,6 +14,9 @@
 //   * Naive              — reduce-to-root then broadcast. O(n) messages from
 //                          one hot rank; summation order is fixed (group rank
 //                          order) so results are bit-reproducible. Default.
+//                          Also coalesced: a list of tensors travels as one
+//                          packed message per member each way, bitwise equal
+//                          to reducing each tensor on its own.
 //   * Ring               — bandwidth-optimal reduce-scatter + allgather ring,
 //                          2(n−1) steps of numel/n elements each.
 //   * RecursiveDoubling  — log2(n) rounds of pairwise exchange; falls back to
@@ -45,6 +49,17 @@ enum class AllreduceAlgo { Naive, Ring, RecursiveDoubling };
 /// concurrent collectives on one group.
 void allreduce_sum(Communicator& comm, const Group& group, tensor::Tensor& t,
                    int phase, AllreduceAlgo algo = AllreduceAlgo::Naive);
+
+/// Coalesced Naive sum-allreduce of every tensor in `ts`, in place. Each
+/// non-root member packs its tensors into one message to group rank 0; the
+/// root adds each received slice straight into its own tensors (group rank
+/// order, as above) and sends one packed message back to each member, which
+/// unpacks it into its tensors. So a non-root sends 1 message and the root
+/// n−1, whatever the tensor count, and every element is bitwise equal to
+/// per-tensor Naive `allreduce_sum`. All members must pass tensors of the
+/// same sizes in the same order. Uses `phase` and `phase + 1`.
+void allreduce_sum(Communicator& comm, const Group& group,
+                   std::span<tensor::Tensor* const> ts, int phase);
 
 /// Sum-reduce of `t` into the copy held by group.ranks[root_index]; other
 /// ranks' tensors are left untouched. Deterministic summation order.

@@ -200,9 +200,13 @@ float Worker::run_iteration(const Batch& batch) {
         comm::allreduce_sum(comm_, p_.world_group, lt, /*phase=*/900000);
         loss_local = lt[0];
         // Gradient sync: per chunk, across every holder of the same stage
-        // (data-parallel replicas, plus Chimera's bidirectional copy).
-        // Under ZeRO-1 the allreduce becomes a reduce-scatter: each holder
-        // only needs the summed gradient of the parameter shard it owns.
+        // (data-parallel replicas, plus Chimera's bidirectional copy). One
+        // coalesced allreduce carries all of a chunk's gradients, so a
+        // device pays one collective's latency per chunk, not one per
+        // parameter (sim/event_sim prices one allreduce of the device's
+        // whole gradient). Under ZeRO-1 the allreduce becomes a
+        // per-parameter reduce-scatter: each holder only needs the summed
+        // gradient of the parameter shard it owns.
         //
         // Chunks are processed in GLOBAL stage order, not local chunk order:
         // the collectives block, and two devices that hold the same pair of
@@ -215,19 +219,24 @@ float Worker::run_iteration(const Batch& batch) {
           const comm::Group& g = p_.chunk_groups[c];
           if (g.size() <= 1) continue;
           const auto params = chunks_[c].params();
-          for (size_t pi = 0; pi < params.size(); ++pi) {
-            const int phase = static_cast<int>((static_cast<size_t>(chunk_stages_[c]) * 4096 + pi) * 2);
-            Tensor& grad = params[pi]->grad;
-            if (p_.zero_shard) {
-              const int gi = g.index_of(comm_.rank());
-              Tensor shard = comm::reduce_scatter_sum(comm_, g, grad, phase);
+          const auto phase_of = [&](size_t pi) {
+            return static_cast<int>((static_cast<size_t>(chunk_stages_[c]) * 4096 + pi) * 2);
+          };
+          if (p_.zero_shard) {
+            const int gi = g.index_of(comm_.rank());
+            for (size_t pi = 0; pi < params.size(); ++pi) {
+              Tensor& grad = params[pi]->grad;
+              Tensor shard =
+                  comm::reduce_scatter_sum(comm_, g, grad, phase_of(pi));
               const auto [b, e] =
                   comm::shard_bounds(grad.numel(), g.size(), gi);
               std::memcpy(grad.data() + b, shard.data(),
                           static_cast<size_t>(e - b) * sizeof(float));
-            } else {
-              comm::allreduce_sum(comm_, g, grad, phase);
             }
+          } else {
+            flush_grads_.clear();
+            for (model::Param* pp : params) flush_grads_.push_back(&pp->grad);
+            comm::allreduce_sum(comm_, g, flush_grads_, phase_of(0));
           }
         }
         // Global gradient clipping: ||g|| over every distinct parameter.

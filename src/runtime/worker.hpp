@@ -151,6 +151,9 @@ class Worker {
   int64_t peak_cache_bytes_ = 0;
   int64_t opt_steps_ = 0;
   std::vector<ComputeSpan> timeline_;
+  /// One chunk's gradient list for the flush's coalesced allreduce, kept
+  /// so steady-state flushes reuse its capacity.
+  std::vector<tensor::Tensor*> flush_grads_;
 
   // Iteration-scoped (m, pos) slots, cleared per run but never shrunk.
   std::vector<tensor::Tensor> act_;   // activation output by pos

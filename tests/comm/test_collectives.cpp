@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 
 #include "comm/collectives.hpp"
+#include "tensor/rng.hpp"
 
 namespace hc = hanayo::comm;
 namespace ht = hanayo::tensor;
@@ -317,4 +319,86 @@ TEST(Collectives, ConcurrentAllreducesWithDistinctPhases) {
     EXPECT_FLOAT_EQ(a[0], 3.0f);
     EXPECT_FLOAT_EQ(b[0], 30.0f);
   });
+}
+
+namespace {
+
+/// One transformer Block's gradient shapes at hidden `h` (ffn 4h), in
+/// collect_params order, plus a 1-element and a 0-element tensor: the lists
+/// the training flush hands to the coalesced allreduce.
+std::vector<ht::Shape> block_grad_shapes(int64_t h) {
+  const int64_t f = 4 * h;
+  return {{h},        {h},     {h, 3 * h}, {3 * h}, {h, h}, {h}, {h},
+          {h},        {h, f},  {f},        {f, h},  {h},    {1}, {0}};
+}
+
+/// Rank `rank`'s seeded inputs for `block_grad_shapes(h)`.
+std::vector<ht::Tensor> seeded_grads(int rank, int64_t h) {
+  ht::Rng rng(1000 + static_cast<uint64_t>(rank));
+  std::vector<ht::Tensor> out;
+  for (const ht::Shape& s : block_grad_shapes(h)) out.push_back(rng.randn(s));
+  return out;
+}
+
+bool same_bits(const ht::Tensor& a, const ht::Tensor& b) {
+  if (a.numel() != b.numel()) return false;
+  return a.numel() == 0 ||
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+class CoalescedAllreduceTest : public ::testing::TestWithParam<int> {};
+
+}  // namespace
+
+TEST_P(CoalescedAllreduceTest, BitwiseEqualToPerTensorNaiveInOneMessageEach) {
+  const int n = GetParam();
+  constexpr int64_t kHidden = 8;
+  hc::World w(n);
+  // Group order reversed against world ranks, so the root (group rank 0)
+  // is the highest world rank and the summation order is the group's.
+  hc::Group g;
+  for (int r = n - 1; r >= 0; --r) g.ranks.push_back(r);
+  run_ranks(w, n, [&](hc::Communicator& c) {
+    std::vector<ht::Tensor> per_tensor = seeded_grads(c.rank(), kHidden);
+    std::vector<ht::Tensor> coalesced = per_tensor;
+    for (size_t i = 0; i < per_tensor.size(); ++i) {
+      hc::allreduce_sum(c, g, per_tensor[i], static_cast<int>(2 * i),
+                        hc::AllreduceAlgo::Naive);
+    }
+
+    std::vector<ht::Tensor*> ptrs;
+    for (ht::Tensor& t : coalesced) ptrs.push_back(&t);
+    const int64_t sent_before = c.messages_sent();
+    hc::allreduce_sum(c, g, ptrs, 1000);
+    const int64_t sent = c.messages_sent() - sent_before;
+    const bool root = g.index_of(c.rank()) == 0;
+    EXPECT_EQ(sent, root ? n - 1 : 1) << "rank " << c.rank();
+
+    // The sum itself, accumulated here in group rank order.
+    std::vector<ht::Tensor> expect = seeded_grads(g.ranks[0], kHidden);
+    for (int i = 1; i < n; ++i) {
+      const std::vector<ht::Tensor> part = seeded_grads(g.ranks[i], kHidden);
+      for (size_t k = 0; k < expect.size(); ++k) expect[k].add_(part[k]);
+    }
+    for (size_t k = 0; k < coalesced.size(); ++k) {
+      EXPECT_TRUE(same_bits(coalesced[k], per_tensor[k]))
+          << "tensor " << k << " rank " << c.rank();
+      EXPECT_TRUE(same_bits(coalesced[k], expect[k]))
+          << "tensor " << k << " rank " << c.rank();
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(GroupSizes, CoalescedAllreduceTest,
+                         ::testing::Values(2, 3, 4));
+
+TEST(Collectives, CoalescedAllreduceRequiresMembership) {
+  hc::World w(3);
+  hc::Communicator c(&w, 2);
+  hc::Group g{{0, 1}};
+  ht::Tensor t({4});
+  ht::Tensor* const ts[] = {&t};
+  EXPECT_THROW(hc::allreduce_sum(c, g, ts, 0), std::invalid_argument);
+  EXPECT_EQ(c.messages_sent(), 0);
 }

@@ -61,6 +61,14 @@ constexpr int64_t kDecodePassAllocBudget = 0;
 // training-side pooling grows; never raise without a CHANGES.md note.
 constexpr int64_t kTrainStepAllocBudget = 308;
 
+// The same step at dp=2, the only training configuration whose flush runs
+// gradient collectives (every chunk group has two members). Locked at 664,
+// measured both when every parameter ran its own allreduce and once each
+// chunk's gradients moved in one coalesced allreduce: the collectives'
+// payloads come from the iteration arena either way. Same ratchet rule as
+// above.
+constexpr int64_t kDpTrainStepAllocBudget = 664;
+
 InferConfig tiny_serving_config() {
   InferConfig cfg;
   cfg.model = model::ModelConfig::tiny(
@@ -187,6 +195,44 @@ TEST(AllocTrain, SteadyStateTrainStepStaysWithinBudget) {
                                   static_cast<int>(per_step));
   EXPECT_LE(per_step, kTrainStepAllocBudget)
       << "steady-state training step allocates more than the locked "
+         "baseline; re-measure and document in CHANGES.md";
+  EXPECT_NEAR(static_cast<double>(b.frees - a.frees),
+              static_cast<double>(b.allocs - a.allocs),
+              static_cast<double>(kLong - kShort));
+}
+
+TEST(AllocTrain, SteadyStateDpTrainStepStaysWithinBudget) {
+  runtime::TrainerConfig tc;
+  tc.model = model::ModelConfig::tiny(8, 16, 2, 37, 6);
+  tc.sched.algo = schedule::Algo::Hanayo;
+  tc.sched.P = 2;
+  tc.sched.B = 4;
+  tc.sched.waves = 1;
+  tc.dp = 2;
+  tc.seed = 17;
+  tc.lr = 0.05f;
+  runtime::Trainer t(tc);
+  Rng rng(3);
+  const runtime::Batch batch = synthetic_batch(tc.model, t.batch_rows(), rng);
+
+  const auto steps = [&](int n) {
+    const AllocStats before = tensor::alloc_stats();
+    for (int i = 0; i < n; ++i) (void)t.train_step(batch);
+    return tensor::alloc_stats() - before;
+  };
+  const AllocStats warm = steps(3);
+  ASSERT_GT(warm.allocs, 0) << "counting allocator hook inactive?";
+
+  constexpr int kShort = 2;
+  constexpr int kLong = 10;
+  const AllocStats a = steps(kShort);
+  const AllocStats b = steps(kLong);
+  const int64_t per_step = (b.allocs - a.allocs) / (kLong - kShort);
+
+  ::testing::Test::RecordProperty("allocs_per_dp_train_step",
+                                  static_cast<int>(per_step));
+  EXPECT_LE(per_step, kDpTrainStepAllocBudget)
+      << "steady-state dp=2 training step allocates more than the locked "
          "baseline; re-measure and document in CHANGES.md";
   EXPECT_NEAR(static_cast<double>(b.frees - a.frees),
               static_cast<double>(b.allocs - a.allocs),
